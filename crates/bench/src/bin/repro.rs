@@ -8,7 +8,7 @@
 //!     [--seed N] [--markdown <path>] [--exp <id>]
 //!     [--metrics <path>] [--prometheus <path>] [--clock test|real]
 //!     [--checkpoint <path>] [--kill-at <n>] [--resume <path>]
-//!     [--transport none|memory|udp] [--listen <addr>]
+//!     [--transport none|memory|udp]
 //!     [--serve <addr>] [--trace <path>]
 //! ```
 //!
@@ -42,12 +42,13 @@
 //! snapshot byte-identical to an uninterrupted run — `scripts/ci.sh`
 //! checks exactly that, too.
 //!
-//! `--transport memory|udp` puts the `ixp-transport` front-end in front
-//! of the supervised mode: a seeded NetFlow v5/v9/IPFIX workload (replayed
-//! in memory under wire faults, or received over a loopback UDP socket
-//! from the `flowgen` binary) is decoded through the bounded
-//! [`TransportIntake`](ixp_transport::TransportIntake), and the week's
-//! sFlow feed then rides the same intake into the supervisor. The default
+//! `--transport memory|udp` puts the `ixp-transport` front door in front
+//! of the supervised mode: each of the week's sFlow datagrams is sent
+//! through a link — an in-memory [`MemLink`](ixp_transport::MemLink), or
+//! an in-process loopback [`UdpLink`](ixp_transport::UdpLink) pair — then
+//! pumped into the bounded
+//! [`TransportIntake`](ixp_transport::TransportIntake), drained through
+//! its version gate, and offered to the supervisor. The default
 //! `--transport none` leaves the supervised path byte-identical to
 //! earlier releases. A `--kill-at` run in transport mode writes the
 //! intake's own checkpoint next to the supervisor's
@@ -74,7 +75,6 @@ struct Args {
     resume: Option<String>,
     kill_at: Option<u64>,
     transport: String,
-    listen: Option<String>,
     serve: Option<String>,
     trace: Option<String>,
 }
@@ -92,7 +92,6 @@ fn parse_args() -> Args {
     let mut resume = None;
     let mut kill_at = None;
     let mut transport = "none".to_string();
-    let mut listen = None;
     let mut serve = None;
     let mut trace = None;
     let mut it = std::env::args().skip(1);
@@ -130,7 +129,6 @@ fn parse_args() -> Args {
                     "--transport none|memory|udp, got {transport}"
                 );
             }
-            "--listen" => listen = it.next(),
             "--serve" => serve = it.next(),
             "--trace" => trace = it.next(),
             "--clock" => {
@@ -156,7 +154,6 @@ fn parse_args() -> Args {
         resume,
         kill_at,
         transport,
-        listen,
         serve,
         trace,
     }
@@ -474,23 +471,21 @@ fn supervised_mode(
             sup.finish();
             true
         }),
-        Some(intake) => obs.time(&stage_metric("scan"), || {
-            // The week's sFlow feed rides the transport intake into the
-            // supervisor: offer → drain → forward the passthrough
-            // datagrams. A resumed run skips what it already offered.
+        Some((intake, link)) => obs.time(&stage_metric("scan"), || {
+            // The week's sFlow feed rides the link and the transport
+            // intake into the supervisor: send → pump → drain → offer.
+            // A resumed run skips what it already offered.
             let skip = usize::try_from(sup.offered()).unwrap_or(usize::MAX);
             for dg in analyzer.feed(week).skip(skip) {
                 if args.kill_at.is_some_and(|k| sup.offered() >= k) {
                     return false;
                 }
-                intake.offer(SFLOW_PEER, &dg);
-                for unit in intake.drain(usize::MAX) {
-                    if let ixp_transport::Drained::Sflow { datagram, .. } = unit {
-                        sup.offer(datagram);
-                    }
-                }
+                link.send(SFLOW_PEER, &dg).expect("transport link send");
+                pump_into(intake, link.as_mut(), 1, &mut sup);
                 audit_steady(sup.offered());
             }
+            // Late arrivals still in the link (a slow loopback socket).
+            pump_into(intake, link.as_mut(), usize::MAX, &mut sup);
             sup.finish();
             true
         }),
@@ -503,7 +498,7 @@ fn supervised_mode(
             .as_deref()
             .expect("--kill-at needs --checkpoint <path> to write to");
         std::fs::write(path, sup.checkpoint()).expect("write checkpoint file");
-        if let Some(intake) = &transport {
+        if let Some((intake, _)) = &transport {
             let side = format!("{path}.transport");
             std::fs::write(&side, intake.save_state()).expect("write transport state file");
             eprintln!("  transport state written to {side}");
@@ -550,36 +545,18 @@ fn supervised_mode(
         "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
         if health.fully_accounted() { "holds" } else { "VIOLATED" }
     );
-    if let Some(intake) = &mut transport {
+    if let Some((intake, _)) = &mut transport {
         let ts = intake.finish();
-        let (installed, refreshed, evicted) = intake.template_counts();
         println!(
-            "  transport ({} mode): {} offered, {} received, {} accepted ({} sflow / {} v5 / {} v9 / {} ipfix), {} flow records",
-            args.transport,
-            ts.offered,
-            ts.received,
-            ts.accepted,
-            ts.sflow_datagrams,
-            ts.v5_packets,
-            ts.v9_packets,
-            ts.ipfix_packets,
-            ts.flows,
+            "  transport ({} mode): {} offered, {} received, {} sFlow datagrams passed through",
+            args.transport, ts.offered, ts.received, ts.sflow_datagrams,
         );
         println!(
-            "  transport faults: {} shed, {} duplicates, {} decode errors ({} truncated / {} bad version / {} inconsistent), {} template-missing dropped",
-            ts.shed,
-            ts.duplicates,
-            ts.decode_errors,
-            ts.truncated,
-            ts.bad_version,
-            ts.inconsistent,
-            ts.template_missing_dropped,
+            "  transport faults: {} shed, {} decode errors ({} truncated / {} bad version)",
+            ts.shed, ts.decode_errors, ts.truncated, ts.bad_version,
         );
         println!(
-            "  transport templates: {installed} installed, {refreshed} refreshed, {evicted} evicted"
-        );
-        println!(
-            "  transport accounting invariant (offered = received + shed; received = accepted + duplicates + errors + template-missing + pending): {}",
+            "  transport accounting invariant (offered = received + shed; received = sflow + decode errors): {}",
             if intake.fully_accounted() { "holds" } else { "VIOLATED" }
         );
     }
@@ -592,22 +569,21 @@ fn supervised_mode(
 /// week's sFlow datagrams to the transport intake.
 const SFLOW_PEER: u64 = 0x5F10;
 
-/// Build the transport intake for `--transport memory|udp` and run the
-/// flow-export phase: a seeded NetFlow v5/v9/IPFIX workload with template
-/// churn, replayed either deterministically in memory under wire faults
-/// or received over a loopback UDP socket from `flowgen`. A resumed run
-/// restores the intake (flow phase included) from the side file the
-/// killed run wrote and skips the phase.
+/// Build the transport front door for `--transport memory|udp`: the
+/// intake (restored from the side file a killed run wrote, when resuming)
+/// and the link the week's datagrams ride — a [`MemLink`], or a loopback
+/// [`UdpLink::connect`] → [`UdpLink::bind`] pair in this process. A denied
+/// UDP bind exits 42 so callers can tell sandbox policy from failure.
+///
+/// [`MemLink`]: ixp_transport::MemLink
+/// [`UdpLink::connect`]: ixp_transport::UdpLink::connect
+/// [`UdpLink::bind`]: ixp_transport::UdpLink::bind
 fn transport_front_end(
     args: &Args,
     obs: &Obs,
     journal: &ixp_obs::Journal,
-) -> ixp_transport::TransportIntake {
-    use ixp_faults::{WireFaultConfig, WirePlan};
-    use ixp_transport::{
-        FlowGenConfig, Link as _, MemLink, TransportConfig, TransportIntake, TransportMetrics,
-        UdpLink, FIN,
-    };
+) -> (ixp_transport::TransportIntake, Box<dyn ixp_transport::Link>) {
+    use ixp_transport::{MemLink, TransportConfig, TransportIntake, TransportMetrics, UdpLink};
 
     let restored = args.resume.as_deref().and_then(|path| {
         let side = format!("{path}.transport");
@@ -627,95 +603,63 @@ fn transport_front_end(
         eprintln!("  transport state resumed from {side}");
         Some(intake)
     });
-    let resumed = restored.is_some();
     let mut intake = restored.unwrap_or_else(|| TransportIntake::new(TransportConfig::default()));
     intake.bind_metrics(TransportMetrics::register(&obs.registry));
     intake.bind_journal(journal.clone());
-    if resumed {
-        return intake;
-    }
 
-    match args.transport.as_str() {
-        "memory" => {
-            // Deterministic in-memory replay: seeded workload with
-            // template withhold/flap windows and exporter restarts,
-            // perturbed at the wire level. Same seed, same bytes — two
-            // same-seed runs produce byte-identical metrics snapshots.
-            let packets = 600u64;
-            let cfg = FlowGenConfig {
-                seed: args.seed,
-                packets,
-                withhold: ixp_faults::withhold_windows(args.seed, packets, 2, 60),
-                flap: ixp_faults::flap_windows(args.seed, packets, 1, 40),
-                restarts: ixp_faults::exporter_restart_offsets(args.seed, packets, 2),
-                ..FlowGenConfig::default()
-            };
-            let wire = WireFaultConfig {
-                seed: args.seed,
-                drop: 0.02,
-                duplicate: 0.005,
-                reorder: 0.005,
-                truncate: 0.001,
-            };
-            let mut link = MemLink::new();
-            for (peer, packet) in WirePlan::new(ixp_transport::generate(&cfg).into_iter(), wire) {
-                link.send(peer, &packet).expect("memlink send");
-            }
-            eprintln!("  transport: replaying {} flow packets in memory", link.pending());
-            loop {
-                let n = intake.pump(&mut link, 64).expect("memlink recv");
-                intake.drain(usize::MAX);
-                if n == 0 {
-                    break;
-                }
-            }
-        }
+    let link: Box<dyn ixp_transport::Link> = match args.transport.as_str() {
+        "memory" => Box::new(MemLink::new()),
         "udp" => {
-            let addr = args.listen.as_deref().unwrap_or("127.0.0.1:0");
-            let mut link = match UdpLink::bind(addr) {
-                Ok(link) => link,
+            let bound = UdpLink::bind("127.0.0.1:0").and_then(|rx| {
+                let target = rx.local_addr()?.to_string();
+                Ok((rx, UdpLink::connect(&target)?))
+            });
+            match bound {
+                Ok((rx, tx)) => Box::new(LoopbackPair { tx, rx }),
                 Err(e) => {
-                    eprintln!("transport: binding UDP {addr} denied: {e}");
+                    eprintln!("transport: loopback UDP denied: {e}");
                     std::process::exit(42);
-                }
-            };
-            match link.local_addr() {
-                // To stderr (unbuffered): ci.sh polls the log for this
-                // line to learn the ephemeral port before starting flowgen.
-                Ok(local) => eprintln!("transport: listening on {local}"),
-                Err(e) => eprintln!("transport: listening (local addr unavailable: {e})"),
-            }
-            let mut idle = 0u32;
-            loop {
-                match link.recv() {
-                    Ok(Some((peer, packet))) => {
-                        idle = 0;
-                        if packet == FIN {
-                            break;
-                        }
-                        intake.offer(peer, &packet);
-                        intake.drain(64);
-                    }
-                    Ok(None) => {
-                        // The socket polls at 50 ms; give a slow sender
-                        // ~15 s of silence before giving up.
-                        idle += 1;
-                        if idle >= 300 {
-                            eprintln!("transport: idle timeout waiting for flowgen; proceeding");
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("transport: receive error: {e}; proceeding");
-                        break;
-                    }
                 }
             }
         }
         other => panic!("--transport none|memory|udp, got {other}"),
+    };
+    (intake, link)
+}
+
+/// Pump up to `max` packets out of `link` into the intake, and offer the
+/// sFlow datagrams its version gate passes to the supervisor.
+fn pump_into(
+    intake: &mut ixp_transport::TransportIntake,
+    link: &mut dyn ixp_transport::Link,
+    max: usize,
+    sup: &mut ixp_supervisor::Supervisor,
+) {
+    if let Err(e) = intake.pump(link, max) {
+        eprintln!("transport: receive error: {e}; the datagram is lost");
     }
-    intake.drain(usize::MAX);
-    intake
+    for ixp_transport::Drained::Sflow { datagram, .. } in intake.drain(usize::MAX) {
+        sup.offer(datagram);
+    }
+}
+
+/// An in-process loopback UDP pair seen as one [`Link`]: `send` goes out
+/// of the connected socket, `recv` reads the bound one.
+///
+/// [`Link`]: ixp_transport::Link
+struct LoopbackPair {
+    tx: ixp_transport::UdpLink,
+    rx: ixp_transport::UdpLink,
+}
+
+impl ixp_transport::Link for LoopbackPair {
+    fn send(&mut self, peer: u64, packet: &[u8]) -> Result<(), ixp_transport::LinkError> {
+        self.tx.send(peer, packet)
+    }
+
+    fn recv(&mut self) -> Result<Option<(u64, Vec<u8>)>, ixp_transport::LinkError> {
+        self.rx.recv()
+    }
 }
 
 fn e1_fig1(out: &mut Out, reference: &ixp_core::WeeklyReport) {
@@ -1353,59 +1297,6 @@ fn faults_sweep(
             "    accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
             if h.fully_accounted() { "holds" } else { "VIOLATED" }
         );
-    }
-    // Wire-level grid: the flow-export front-end (NetFlow v5/v9/IPFIX
-    // through the transport intake) under UDP loss × template churn.
-    {
-        use ixp_faults::{WireFaultConfig, WirePlan};
-        use ixp_transport::{FlowGenConfig, TransportConfig, TransportIntake};
-        let packets = 600u64;
-        let _ = writeln!(
-            body,
-            "  — transport wire grid ({packets} v5/v9/IPFIX packets, loss × template churn)"
-        );
-        for (label, loss, churn) in [
-            ("clean", 0.0, false),
-            ("loss 5 %", 0.05, false),
-            ("template churn", 0.0, true),
-            ("loss 5 % + template churn", 0.05, true),
-        ] {
-            let (withhold, flap, restarts) = if churn {
-                (
-                    ixp_faults::withhold_windows(seed, packets, 2, 60),
-                    ixp_faults::flap_windows(seed, packets, 1, 40),
-                    ixp_faults::exporter_restart_offsets(seed, packets, 2),
-                )
-            } else {
-                (Vec::new(), Vec::new(), Vec::new())
-            };
-            let cfg = FlowGenConfig { seed, packets, withhold, flap, restarts, ..FlowGenConfig::default() };
-            let mut plan = WirePlan::new(
-                ixp_transport::generate(&cfg).into_iter(),
-                WireFaultConfig::loss(seed, loss),
-            );
-            let mut t = TransportIntake::new(TransportConfig::default());
-            for (peer, packet) in plan.by_ref() {
-                t.offer(peer, &packet);
-                t.drain(8);
-            }
-            t.drain(usize::MAX);
-            let s = t.finish();
-            let wire = plan.stats();
-            let (installed, refreshed, _evicted) = t.template_counts();
-            let _ = writeln!(
-                body,
-                "    {label}: {} offered ({} lost on the wire), {} accepted, {} dup, {} errors, {} template-missing dropped, {} flows, {installed} templates installed ({refreshed} refreshed) — accounting {}",
-                s.offered,
-                wire.dropped,
-                s.accepted,
-                s.duplicates,
-                s.decode_errors,
-                s.template_missing_dropped,
-                s.flows,
-                if t.fully_accounted() { "holds" } else { "VIOLATED" }
-            );
-        }
     }
     let _ = writeln!(
         body,

@@ -79,64 +79,6 @@ pub fn overload_bursts(seed: u64, total: u64, n: usize, burst_len: u64) -> Vec<B
     bursts
 }
 
-/// Carve `total` 0-based indices into `n` equal slots and place one
-/// `len`-long window per slot — non-overlapping and sorted by
-/// construction. The shared shape behind the template-churn windows.
-fn carve_windows(mut rng: SmallRng, total: u64, n: usize, len: u64) -> Vec<(u64, u64)> {
-    if total == 0 || n == 0 || len == 0 {
-        return Vec::new();
-    }
-    let len = len.min(total);
-    let slot = total / n as u64;
-    if slot == 0 {
-        return Vec::new();
-    }
-    let mut windows = Vec::new();
-    for k in 0..n as u64 {
-        let slot_start = k * slot;
-        let room = slot.saturating_sub(len);
-        let from = slot_start + if room > 0 { rng.gen_range(0..=room) } else { 0 };
-        let until = (from + len).min(slot_start + slot);
-        if until > from {
-            windows.push((from, until));
-        }
-    }
-    windows
-}
-
-/// `n` non-overlapping template-withhold windows over a flow workload of
-/// `total` packets: 0-based half-open `[from, until)` ranges where the
-/// generator suppresses template announcements, so data records outrun
-/// their templates and the transport intake must park or shed them.
-pub fn withhold_windows(seed: u64, total: u64, n: usize, len: u64) -> Vec<(u64, u64)> {
-    carve_windows(SmallRng::seed_from_u64(seed ^ 0x7769_7468), total, n, len)
-}
-
-/// `n` non-overlapping template-flap windows: ranges where the announced
-/// template layout changes, forcing refresh-on-conflict revisions in the
-/// transport template cache.
-pub fn flap_windows(seed: u64, total: u64, n: usize, len: u64) -> Vec<(u64, u64)> {
-    carve_windows(SmallRng::seed_from_u64(seed ^ 0x666c_6170), total, n, len)
-}
-
-/// `n` distinct, sorted 0-based exporter-restart offsets in `[1, total)`:
-/// packet indices at which the sending exporter reboots mid-template-set
-/// (sequence counters reset, announcement state forgotten). Index 0 is
-/// excluded — a restart before the first packet is not a restart.
-pub fn exporter_restart_offsets(seed: u64, total: u64, n: usize) -> Vec<u64> {
-    if total < 2 || n == 0 {
-        return Vec::new();
-    }
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6578_7265);
-    let want = (n as u64).min(total - 1);
-    let mut offsets = BTreeSet::new();
-    // Distinct draws terminate because want ≤ total - 1 (the range size).
-    while (offsets.len() as u64) < want {
-        offsets.insert(rng.gen_range(1..total));
-    }
-    offsets.into_iter().collect()
-}
-
 /// Flip one seeded-random bit of `bytes` (no-op on an empty slice).
 /// Models single-bit storage corruption of a checkpoint image.
 pub fn flip_bit(bytes: &mut [u8], seed: u64) {
@@ -209,38 +151,6 @@ mod tests {
         for b in overload_bursts(1, 2, 5, 10) {
             assert!(b.until > b.from);
         }
-    }
-
-    #[test]
-    fn template_windows_are_sorted_non_overlapping_and_deterministic() {
-        for windows in [withhold_windows(7, 4000, 3, 300), flap_windows(7, 4000, 3, 300)] {
-            assert_eq!(windows.len(), 3);
-            for pair in windows.windows(2) {
-                assert!(pair[0].1 <= pair[1].0);
-            }
-            for (from, until) in &windows {
-                assert!(until > from);
-                assert!(until - from <= 300);
-            }
-        }
-        assert_eq!(withhold_windows(7, 4000, 3, 300), withhold_windows(7, 4000, 3, 300));
-        // Different salts: withhold and flap windows land differently.
-        assert_ne!(withhold_windows(7, 4000, 3, 300), flap_windows(7, 4000, 3, 300));
-        assert!(withhold_windows(1, 0, 3, 10).is_empty());
-        assert!(flap_windows(1, 100, 0, 10).is_empty());
-    }
-
-    #[test]
-    fn exporter_restarts_are_distinct_sorted_and_never_at_zero() {
-        let a = exporter_restart_offsets(5, 1000, 4);
-        assert_eq!(a, exporter_restart_offsets(5, 1000, 4));
-        assert_eq!(a.len(), 4);
-        assert!(a.windows(2).all(|w| w[0] < w[1]));
-        assert!(a.iter().all(|&k| (1..1000).contains(&k)));
-        assert!(exporter_restart_offsets(5, 1, 4).is_empty());
-        assert!(exporter_restart_offsets(5, 0, 4).is_empty());
-        // More restarts requested than offsets exist: all of them.
-        assert_eq!(exporter_restart_offsets(5, 4, 10), vec![1, 2, 3]);
     }
 
     #[test]

@@ -23,12 +23,8 @@
 //!   targets, shared across threads;
 //! * [`chaos`] — process-level scenarios for the supervised pipeline
 //!   (seeded kill offsets for checkpoint/resume, overload bursts,
-//!   checkpoint-image corruption, and template-churn windows for the
-//!   transport layer), driving the `tests/chaos_soak.rs` and
-//!   `tests/transport_soak.rs` gates and `repro --exp chaos`;
-//! * [`WirePlan`] — a protocol-agnostic sibling of [`FaultPlan`] that
-//!   perturbs `(peer, packet)` pairs at the UDP level (drop, duplicate,
-//!   reorder, truncate) for the transport front-end.
+//!   and checkpoint-image corruption), driving the `tests/chaos_soak.rs`
+//!   gate and `repro --exp chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,13 +33,8 @@ pub mod chaos;
 pub mod plan;
 pub mod quarantine;
 pub mod retry;
-pub mod wire;
 
-pub use chaos::{
-    exporter_restart_offsets, flap_windows, kill_offsets, overload_bursts, withhold_windows,
-    BurstWindow,
-};
+pub use chaos::{kill_offsets, overload_bursts, BurstWindow};
 pub use plan::{FaultConfig, FaultPlan, FaultStats, OutageWindow};
 pub use quarantine::Quarantine;
 pub use retry::{retry_with_backoff, AttemptLog, RetryPolicy};
-pub use wire::{WireFaultConfig, WirePlan, WireStats};

@@ -34,6 +34,7 @@
 //!   widths) like a codec but is not in the registry is a
 //!   `schema-drift` finding: new codecs must enter the ratchet.
 
+use crate::cache;
 use crate::lexer::{Kind, Lexed, Token};
 use crate::parser::{FnItem, ParsedFile};
 use crate::Finding;
@@ -122,7 +123,7 @@ pub const REGISTRY: &[CodecPair] = &[
         version_ident: Some("TRANSPORT_STATE_VERSION"),
         sealed: false,
         frame: false,
-        digest: 0x2168_a917_8cd6_2f8a,
+        digest: 0x121e_bf91_a698_ea17,
     },
     // Lint fixture: deliberately asymmetric pair under tests/fixtures.
     CodecPair {
@@ -224,16 +225,6 @@ fn tok_text(t: &Token) -> String {
         Kind::FatArrow => "=>".to_string(),
         Kind::Punct(c) => c.to_string(),
     }
-}
-
-/// FNV-1a-64 (same constants as the checkpoint envelope's checksum).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// What one body walk produces.
@@ -556,7 +547,7 @@ pub fn check_with(
         }
 
         // Schema-digest ratchet over the writer's field schema.
-        let computed = fnv64(wx.canon.as_bytes());
+        let computed = cache::fnv64(wx.canon.as_bytes());
         if computed != pair.digest {
             let bump = pair.version_ident.map_or(
                 "bump the enclosing format version".to_string(),
@@ -670,7 +661,7 @@ mod tests {
     fn digest_of(src: &str) -> u64 {
         let (parsed, lexed) = prep("crates/core/src/x.rs", src);
         let f = find_fn(&parsed[0], "S", "save").expect("writer");
-        fnv64(extract(&lexed[0].tokens, f.body.expect("body"), true).canon.as_bytes())
+        cache::fnv64(extract(&lexed[0].tokens, f.body.expect("body"), true).canon.as_bytes())
     }
 
     fn run(registry: &[CodecPair], path: &str, src: &str) -> Vec<(String, String)> {
@@ -760,7 +751,7 @@ mod tests {
     fn digest_of2(src: &str) -> u64 {
         let (parsed, lexed) = prep("crates/core/src/x.rs", src);
         let f = find_fn(&parsed[0], "S", "save").expect("writer");
-        fnv64(extract(&lexed[0].tokens, f.body.expect("body"), true).canon.as_bytes())
+        cache::fnv64(extract(&lexed[0].tokens, f.body.expect("body"), true).canon.as_bytes())
     }
 
     #[test]

@@ -48,7 +48,6 @@ const COUNTER_FIELDS: &[&str] = &[
     "latency_samples",
     "lost",
     "offered",
-    "pending",
     "quarantined",
     "received",
     "restarts",
@@ -56,7 +55,6 @@ const COUNTER_FIELDS: &[&str] = &[
     "seq_opened",
     "seq_recovered",
     "shed",
-    "template_missing_dropped",
     "ticks",
     "unattributed_errors",
     "undissectable",

@@ -1,7 +1,6 @@
 //! Machine-readable diagnostics: the `--format json` report.
 //!
-//! The emitter is hand-rolled (the linter is dependency-free and the
-//! vendored `serde_json` stand-in is intentionally empty); a minimal
+//! The emitter is hand-rolled (the linter is dependency-free); a minimal
 //! parser rides along so tests — and the CI smoke check — can validate
 //! that emitted reports round-trip.
 //!

@@ -446,8 +446,8 @@ pub fn resolve_rule(name: &str) -> Option<Vec<&'static str>> {
 /// datagrams and must survive anything it is fed, including its own output),
 /// the supervisor (which decodes checkpoint images that may be
 /// truncated or corrupted by the very crash they are recovering from),
-/// and the wire transport (UDP front door plus the NetFlow v5/v9/IPFIX
-/// decoders, which parse attacker-grade bytes straight off the socket),
+/// and the wire transport (the UDP front door and its version gate, which
+/// read attacker-grade bytes straight off the socket),
 /// and the exposition server (which parses HTTP request bytes from any
 /// client that can reach the socket).
 pub(crate) fn l1_applies(path: &str) -> bool {

@@ -1,14 +1,14 @@
 //! L9 fixture: a transport offer path that drops a packet uncounted.
 
-pub struct FlowIntake {
+pub struct PacketIntake {
     inbox: Vec<Vec<u8>>,
     shed: u64,
     accepted: u64,
     limit: usize,
 }
 
-impl FlowIntake {
-    /// Offer one packet; FIN sentinels vanish uncounted (the bug).
+impl PacketIntake {
+    /// Offer one packet; empty packets vanish uncounted (the bug).
     pub fn offer(&mut self, packet: Vec<u8>) -> bool {
         if packet.is_empty() {
             return false;

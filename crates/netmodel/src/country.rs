@@ -11,10 +11,9 @@
 //! "EU" rather than a member state, and the paper's Table 2 indeed lists EU
 //! among the top server-traffic origins.
 
-use serde::{Deserialize, Serialize};
 
 /// Index into the country table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryId(pub u16);
 
 /// The full country-code list. Order is stable; indices are `CountryId`s.

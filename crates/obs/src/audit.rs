@@ -28,17 +28,16 @@ use crate::metrics::{split_name, Counter, MetricValue, Registry, Snapshot};
 /// Name of the breach counter the auditor registers.
 pub const BREACH_COUNTER: &str = "obs_audit_breaches_total";
 
-/// The ledger identities the auditor enforces. The discriminant order is
-/// stable: it is the `a` operand of the `audit_breach` journal event.
+/// The ledger identities the auditor enforces. The discriminants are
+/// stable: each is the `a` operand of the `audit_breach` journal event,
+/// and index 2 belonged to a retired identity and stays unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
     /// `sflow_datagrams_total = accepted + duplicates + Σ decode_errors`.
     SflowLedger = 0,
-    /// `transport_received_total = accepted + duplicates +
-    /// Σ decode_errors + template_missing_dropped + pending_packets`.
+    /// `transport_received_total = transport_accepted_total +
+    /// Σ transport_decode_errors_total`.
     TransportLedger = 1,
-    /// `transport_accepted_total = Σ transport_packets_total{proto}`.
-    TransportProtoSum = 2,
     /// `supervisor_offered_total = sflow_datagrams_total +
     /// supervisor_shed_total` (final only: the ring may hold undrained
     /// datagrams mid-run).
@@ -60,7 +59,6 @@ impl Invariant {
         match self {
             Invariant::SflowLedger => "sflow-ledger",
             Invariant::TransportLedger => "transport-ledger",
-            Invariant::TransportProtoSum => "transport-proto-sum",
             Invariant::SupervisorOffered => "supervisor-offered",
             Invariant::TransportOffered => "transport-offered",
         }
@@ -75,11 +73,7 @@ impl Invariant {
             }
             Invariant::TransportLedger => {
                 "transport_received_total = transport_accepted_total + \
-                 transport_duplicates_total + sum(transport_decode_errors_total) + \
-                 transport_template_missing_dropped_total + transport_pending_packets"
-            }
-            Invariant::TransportProtoSum => {
-                "transport_accepted_total = sum(transport_packets_total)"
+                 sum(transport_decode_errors_total)"
             }
             Invariant::SupervisorOffered => {
                 "supervisor_offered_total = sflow_datagrams_total + supervisor_shed_total"
@@ -184,20 +178,8 @@ pub fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
 
     if let Some(received) = family_sum(snapshot, "transport_received_total") {
         let accounted = family_sum_or_zero(snapshot, "transport_accepted_total")
-            .saturating_add(family_sum_or_zero(snapshot, "transport_duplicates_total"))
-            .saturating_add(family_sum_or_zero(snapshot, "transport_decode_errors_total"))
-            .saturating_add(family_sum_or_zero(
-                snapshot,
-                "transport_template_missing_dropped_total",
-            ))
-            .saturating_add(family_sum_or_zero(snapshot, "transport_pending_packets"));
+            .saturating_add(family_sum_or_zero(snapshot, "transport_decode_errors_total"));
         push(Invariant::TransportLedger, received, accounted);
-    }
-
-    if let Some(accepted) = family_sum(snapshot, "transport_accepted_total") {
-        if let Some(by_proto) = family_sum(snapshot, "transport_packets_total") {
-            push(Invariant::TransportProtoSum, accepted, by_proto);
-        }
     }
 
     if scope == AuditScope::Final {
@@ -318,22 +300,19 @@ mod tests {
     }
 
     #[test]
-    fn transport_ledger_counts_pending_and_proto_split() {
+    fn transport_ledger_sums_decode_error_kinds() {
         let r = Registry::new();
         r.counter("transport_received_total").add(50);
-        r.counter("transport_accepted_total").add(40);
-        r.counter("transport_duplicates_total").add(2);
-        r.counter("transport_decode_errors_total{kind=\"truncated\"}").add(3);
-        r.counter("transport_template_missing_dropped_total").add(4);
-        r.gauge("transport_pending_packets").set(1);
-        r.counter("transport_packets_total{proto=\"sflow\"}").add(30);
-        r.counter("transport_packets_total{proto=\"netflow5\"}").add(10);
+        r.counter("transport_accepted_total").add(44);
+        r.counter("transport_decode_errors_total{kind=\"truncated\"}").add(2);
+        r.counter("transport_decode_errors_total{kind=\"bad_version\"}").add(4);
         assert!(check(&r.snapshot(), AuditScope::Steady).is_empty());
-        // Break the proto split.
-        r.counter("transport_packets_total{proto=\"netflow5\"}").add(1);
+        // A packet received but never gated breaks the ledger.
+        r.counter("transport_received_total").add(1);
         let breaches = check(&r.snapshot(), AuditScope::Steady);
         assert_eq!(breaches.len(), 1);
-        assert_eq!(breaches[0].invariant, Invariant::TransportProtoSum);
+        assert_eq!(breaches[0].invariant, Invariant::TransportLedger);
+        assert_eq!(breaches[0].invariant.index(), 1);
     }
 
     #[test]

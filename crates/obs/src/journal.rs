@@ -2,8 +2,8 @@
 //!
 //! A [`Journal`] is a bounded ring of typed [`Event`]s describing what the
 //! supervised pipeline *did*: tick boundaries, health-state transitions,
-//! template cache churn, shedding, parking, replay, source restarts and
-//! quarantines, audit breaches, and the kill/restore edges themselves.
+//! shedding, source restarts and quarantines, audit breaches, and the
+//! kill/restore edges themselves.
 //! Events are stamped with the supervisor tick and the injected
 //! [`Clock`](crate::Clock) — never ambient wall time — so two same-seed
 //! supervised runs under the frozen `TestClock` produce byte-identical
@@ -51,7 +51,8 @@ const EVENT_WIRE_BYTES: usize = 57;
 
 /// What happened. The discriminants are the wire encoding of the kind
 /// byte inside a flight record; renumbering is a format break and must
-/// bump [`FLIGHT_VERSION`].
+/// bump [`FLIGHT_VERSION`]. Bytes 3, 4, 6 and 7 belonged to retired
+/// kinds and stay unassigned, so every surviving kind keeps its byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -65,22 +66,9 @@ pub enum EventKind {
     /// (Healthy/Degraded/Quarantined/Recovering as in
     /// `ixp-supervisor::health::HealthState`).
     Transition = 2,
-    /// A flow template was installed or refreshed. `agent` = peer key,
-    /// `sub_agent` = observation domain, `a` = template id,
-    /// `b` = revision.
-    TemplateInstall = 3,
-    /// A flow template was evicted (LRU). Operands as for
-    /// [`EventKind::TemplateInstall`].
-    TemplateEvict = 4,
     /// Work was shed. `a` = items shed in this event, `b` = shed total
     /// after it.
     Shed = 5,
-    /// A template-less data packet was parked. `agent`/`sub_agent` name
-    /// the exporter, `a` = set id awaited, `b` = parked bytes.
-    Park = 6,
-    /// Parked packets were replayed after a template install.
-    /// `a` = packets replayed, `b` = packets still parked.
-    Replay = 7,
     /// A source restart was detected (sequence regression).
     /// `a` = restarts total after this one.
     SourceRestart = 8,
@@ -103,11 +91,7 @@ pub const EVENT_KINDS: &[EventKind] = &[
     EventKind::TickStart,
     EventKind::TickEnd,
     EventKind::Transition,
-    EventKind::TemplateInstall,
-    EventKind::TemplateEvict,
     EventKind::Shed,
-    EventKind::Park,
-    EventKind::Replay,
     EventKind::SourceRestart,
     EventKind::SourceQuarantined,
     EventKind::AuditBreach,
@@ -122,11 +106,7 @@ impl EventKind {
             EventKind::TickStart => "tick_start",
             EventKind::TickEnd => "tick_end",
             EventKind::Transition => "transition",
-            EventKind::TemplateInstall => "template_install",
-            EventKind::TemplateEvict => "template_evict",
             EventKind::Shed => "shed",
-            EventKind::Park => "park",
-            EventKind::Replay => "replay",
             EventKind::SourceRestart => "source_restart",
             EventKind::SourceQuarantined => "source_quarantined",
             EventKind::AuditBreach => "audit_breach",
@@ -135,9 +115,9 @@ impl EventKind {
         }
     }
 
-    /// Decode a wire kind byte.
+    /// Decode a wire kind byte; retired and unassigned bytes are `None`.
     pub fn from_u8(b: u8) -> Option<EventKind> {
-        EVENT_KINDS.get(b as usize).copied()
+        EVENT_KINDS.iter().copied().find(|k| *k as u8 == b)
     }
 
     /// Decode a trace-document kind name.
@@ -446,8 +426,11 @@ impl std::fmt::Display for FlightError {
 
 impl std::error::Error for FlightError {}
 
-/// FNV-1a 64-bit, matching the checkpoint envelope's trailer discipline.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit: the trailer seal of the flight record, the supervisor
+/// checkpoint envelope and the transport state (the per-byte state
+/// evolution is bijective, so any single-bit flip at unchanged length is
+/// always detected).
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         hash ^= u64::from(*b);
@@ -720,5 +703,40 @@ mod tests {
         }
         assert_eq!(EventKind::from_u8(255), None);
         assert_eq!(EventKind::from_name("nope"), None);
+    }
+
+    #[test]
+    fn retired_kind_bytes_are_rejected_and_survivors_keep_theirs() {
+        for retired in [3u8, 4, 6, 7] {
+            assert_eq!(EventKind::from_u8(retired), None);
+            let mut sealed = seal_flight(&[sample_journal().events()[0]]);
+            // Kind byte of event 0 sits at offset 16 + 24; re-seal so only
+            // the kind is bad.
+            sealed[40] = retired;
+            let body_len = sealed.len() - 8;
+            let digest = fnv64(&sealed[..body_len]);
+            sealed.truncate(body_len);
+            sealed.extend_from_slice(&digest.to_be_bytes());
+            assert_eq!(parse_flight(&sealed), Err(FlightError::BadKind(retired)));
+        }
+        let bytes = [
+            (EventKind::TickStart, 0u8),
+            (EventKind::TickEnd, 1),
+            (EventKind::Transition, 2),
+            (EventKind::Shed, 5),
+            (EventKind::SourceRestart, 8),
+            (EventKind::SourceQuarantined, 9),
+            (EventKind::AuditBreach, 10),
+            (EventKind::Kill, 11),
+            (EventKind::RestoreRejected, 12),
+        ];
+        assert_eq!(bytes.len(), EVENT_KINDS.len());
+        for (kind, byte) in bytes {
+            assert_eq!(kind as u8, byte);
+            assert_eq!(EventKind::from_u8(byte), Some(kind));
+            let base = sample_journal().events()[0];
+            let event = Event { kind, ..base };
+            assert_eq!(parse_flight(&seal_flight(&[event])), Ok(vec![event]));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Schema-versioned JSON snapshot exporter, plus a minimal parser.
 //!
-//! The offline `serde_json` stand-in is intentionally empty, so the
-//! exporter is hand-rolled (same idiom as `ixp-lint`'s JSON reporter).
+//! The exporter is hand-rolled, with no serialization dependency (same
+//! idiom as `ixp-lint`'s JSON reporter).
 //! Every value is an integer or a short string — no floats — so two equal
 //! snapshots serialize to byte-identical documents. The schema is
 //! versioned under the `"schema"` key; consumers must check it before

@@ -23,8 +23,9 @@
 //! The request/response core ([`respond`]) is a pure function of the
 //! state and the raw request bytes, which is what the proptests drive;
 //! the socket loop ([`Server`]) is a thin shell around it. Binding is
-//! probe-gated by callers the same way `flowgen --probe` gates the UDP
-//! smoke: where sockets are denied, the pure core still works in memory.
+//! probe-gated by callers the same way `repro --transport udp` gates the
+//! UDP smoke: where sockets are denied, the pure core still works in
+//! memory.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -521,7 +522,7 @@ mod tests {
 
     #[test]
     fn loopback_roundtrip_when_sockets_allowed() {
-        // Probe-gated like flowgen --probe: if the sandbox denies the
+        // Probe-gated like the UDP smoke: if the sandbox denies the
         // bind, the pure-core tests above already cover the protocol.
         let s = state();
         let Ok(server) = Server::bind("127.0.0.1:0", s) else {

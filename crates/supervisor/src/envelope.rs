@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+use ixp_obs::journal::fnv64;
 use ixp_sflow::checkpoint::{self, Cur, StateError};
 
 /// File magic: "IXPCKPT1".
@@ -69,17 +70,6 @@ impl From<StateError> for CheckpointError {
     fn from(e: StateError) -> CheckpointError {
         CheckpointError::State(e)
     }
-}
-
-/// FNV-1a-64 over `bytes`. The per-byte state evolution is bijective, so
-/// any single-bit flip at unchanged length is always detected.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Wrap a state payload in the checkpoint envelope.

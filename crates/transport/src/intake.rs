@@ -1,5 +1,5 @@
 //! The transport intake: a bounded packet front-end with full-packet
-//! accounting, template-aware parking, and checkpointable state.
+//! accounting and checkpointable state.
 //!
 //! [`TransportIntake`] sits between a [`Link`](crate::link::Link) and the
 //! existing sFlow collector/supervisor pipeline. Every datagram offered
@@ -7,112 +7,69 @@
 //! conservation invariant to the wire:
 //!
 //! ```text
-//! offered  = received + shed + inbox          (front door)
-//! received = accepted + duplicates + decode_errors
-//!          + template_missing_dropped + pending   (decode stage)
+//! offered       = received + shed + inbox           (front door)
+//! received      = sflow_datagrams + decode_errors   (version gate)
+//! decode_errors = truncated + bad_version
 //! ```
 //!
-//! `pending` is the transient bucket: a NetFlow v9 / IPFIX datagram whose
-//! template has not arrived yet is parked *whole* (up to a byte budget)
-//! and replayed verbatim when a template installs; [`finish`] flushes
-//! whatever never resolved into `template_missing_dropped`, so the final
-//! balance has no transient terms. Packets shed at the byte budget are
-//! counted the moment they are dropped — load shedding is always visible
-//! in the accounting, never silent.
+//! The version gate reads the leading 16 bits: an sFlow v5 datagram
+//! leads with a u32 version, so those bits are zero and the datagram
+//! passes through whole to the collector, which owns its decode,
+//! sequence accounting and duplicate detection. Anything else is counted
+//! as a decode error. Packets shed at the inbox bound are counted the
+//! moment they are dropped — load shedding is always visible in the
+//! accounting, never silent.
 //!
-//! The whole intake — stats, dedup windows, parked packets, inbox, and
-//! the template cache — serializes through [`save_state`] /
-//! [`restore_from`] in the same versioned fail-closed codec style as the
-//! collector checkpoint, so a supervisor kill-and-resume crossing a
-//! template-withhold window loses nothing and stays byte-identical.
+//! The whole intake — bound, stats and inbox — serializes through
+//! [`save_state`] / [`restore_from`] in the same versioned fail-closed
+//! codec style as the collector checkpoint, so a supervisor
+//! kill-and-resume loses nothing and stays byte-identical.
 //!
 //! [`save_state`]: TransportIntake::save_state
 //! [`restore_from`]: TransportIntake::restore_from
-//! [`finish`]: TransportIntake::finish
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use ixp_obs::journal::{EventKind, Journal};
-use ixp_sflow::checkpoint::{put_bytes, put_u16, put_u32, put_u64, Cur, StateError};
+use ixp_obs::journal::{fnv64, EventKind, Journal};
+use ixp_sflow::checkpoint::{put_bytes, put_u32, put_u64, Cur, StateError};
 
-use crate::error::{DecodeFault, LinkError};
-use crate::flow::FlowRecord;
-use crate::link::{Link, MAX_PACKET};
+use crate::link::{Link, LinkError, MAX_PACKET};
 use crate::metrics::TransportMetrics;
-use crate::template::{Template, TemplateCache, TemplateCacheConfig};
-use crate::{ipfix, netflow5, netflow9};
 
 /// Serialization format version of [`TransportIntake`] state.
-pub const TRANSPORT_STATE_VERSION: u32 = 1;
+pub const TRANSPORT_STATE_VERSION: u32 = 2;
 
-/// Cap on distinct `(peer, protocol, domain)` dedup windows kept.
-const MAX_DEDUP_KEYS: usize = 4096;
-
-/// Size bounds of the intake.
+/// Size bound of the intake.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportConfig {
     /// Most packets queued between `offer` and `drain` before shedding.
     pub inbox_capacity: usize,
-    /// Byte budget for packets parked awaiting their template.
-    pub pending_byte_budget: usize,
-    /// Recent export sequence numbers remembered per exporter domain for
-    /// duplicate suppression.
-    pub dedup_window: usize,
-    /// Bounds of the template cache.
-    pub template_cache: TemplateCacheConfig,
 }
 
 impl Default for TransportConfig {
     fn default() -> TransportConfig {
-        TransportConfig {
-            inbox_capacity: 4096,
-            pending_byte_budget: 256 * 1024,
-            dedup_window: 32,
-            template_cache: TemplateCacheConfig::default(),
-        }
+        TransportConfig { inbox_capacity: 4096 }
     }
 }
 
-/// Lifetime packet accounting. Every field is monotonic except
-/// `pending` / `pending_bytes`, which track the parked set and drop to
-/// zero when it drains or [`TransportIntake::finish`] flushes it.
+/// Lifetime packet accounting. Every field is monotonic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Packets presented at the front door (`offer`).
     pub offered: u64,
-    /// Packets that reached the decode stage (`drain`).
+    /// Packets that reached the version gate (`drain`).
     pub received: u64,
-    /// Packets fully decoded and handed downstream.
-    pub accepted: u64,
-    /// Packets suppressed as retransmit duplicates.
-    pub duplicates: u64,
-    /// Packets rejected by a decoder (sum of the three kinds below).
-    pub decode_errors: u64,
-    /// Decode errors: ran out of bytes.
-    pub truncated: u64,
-    /// Decode errors: unknown version field.
-    pub bad_version: u64,
-    /// Decode errors: internally inconsistent framing.
-    pub inconsistent: u64,
-    /// Packets dropped at the inbox bound or oversized.
+    /// Packets dropped at the inbox bound, oversized, or flushed
+    /// undrained by `finish`.
     pub shed: u64,
-    /// Template-less packets dropped at the parking budget or flushed
-    /// unresolved by `finish`.
-    pub template_missing_dropped: u64,
-    /// Packets currently parked awaiting a template.
-    pub pending: u64,
-    /// Bytes currently parked awaiting a template.
-    pub pending_bytes: u64,
-    /// Flow records decoded out of accepted packets.
-    pub flows: u64,
-    /// Accepted packets that were sFlow datagrams (passed through).
+    /// sFlow datagrams passed through downstream.
     pub sflow_datagrams: u64,
-    /// Accepted NetFlow v5 packets.
-    pub v5_packets: u64,
-    /// Accepted NetFlow v9 packets.
-    pub v9_packets: u64,
-    /// Accepted IPFIX messages.
-    pub ipfix_packets: u64,
+    /// Packets rejected at the version gate (sum of the two kinds below).
+    pub decode_errors: u64,
+    /// Decode errors: shorter than the 2-byte version field.
+    pub truncated: u64,
+    /// Decode errors: a version field other than sFlow's.
+    pub bad_version: u64,
 }
 
 /// One unit of work handed downstream by [`TransportIntake::drain`].
@@ -126,13 +83,6 @@ pub enum Drained {
         /// The raw datagram bytes.
         datagram: Vec<u8>,
     },
-    /// Flow records decoded from one NetFlow v5/v9 or IPFIX packet.
-    Flows {
-        /// Stable identity of the sending exporter.
-        peer: u64,
-        /// The normalized records.
-        records: Vec<FlowRecord>,
-    },
 }
 
 /// The bounded, checkpointable packet intake.
@@ -141,23 +91,14 @@ pub struct TransportIntake {
     config: TransportConfig,
     stats: TransportStats,
     inbox: VecDeque<(u64, Vec<u8>)>,
-    /// Packets parked whole, awaiting their template.
-    parked: VecDeque<(u64, Vec<u8>)>,
-    /// Recent export sequences per `(peer, version, domain)`.
-    seen: BTreeMap<(u64, u16, u32), VecDeque<u32>>,
-    cache: TemplateCache,
     metrics: TransportMetrics,
     journal: Journal,
 }
 
 impl TransportIntake {
-    /// An empty intake with the given bounds.
+    /// An empty intake with the given bound.
     pub fn new(config: TransportConfig) -> TransportIntake {
-        TransportIntake {
-            config,
-            cache: TemplateCache::new(config.template_cache),
-            ..TransportIntake::default()
-        }
+        TransportIntake { config, ..TransportIntake::default() }
     }
 
     /// Current accounting snapshot.
@@ -165,52 +106,31 @@ impl TransportIntake {
         self.stats
     }
 
-    /// Lifetime `(installed, refreshed, evicted)` template counts.
-    pub fn template_counts(&self) -> (u64, u64, u64) {
-        self.cache.counts()
-    }
-
     /// Packets waiting between `offer` and `drain`.
     pub fn inbox_len(&self) -> usize {
         self.inbox.len()
     }
 
-    /// The conservation invariant, checked at both stage boundaries.
+    /// The conservation invariant, checked at every stage boundary.
     pub fn fully_accounted(&self) -> bool {
         let s = &self.stats;
         let front = s.offered
             == s.received.saturating_add(s.shed).saturating_add(self.inbox.len() as u64);
-        let decode = s.received
-            == s.accepted
-                .saturating_add(s.duplicates)
-                .saturating_add(s.decode_errors)
-                .saturating_add(s.template_missing_dropped)
-                .saturating_add(s.pending);
-        let kinds = s.decode_errors
-            == s.truncated.saturating_add(s.bad_version).saturating_add(s.inconsistent);
-        let protos = s.accepted
-            == s.sflow_datagrams
-                .saturating_add(s.v5_packets)
-                .saturating_add(s.v9_packets)
-                .saturating_add(s.ipfix_packets);
-        front && decode && kinds && protos
+        let gate = s.received == s.sflow_datagrams.saturating_add(s.decode_errors);
+        let kinds = s.decode_errors == s.truncated.saturating_add(s.bad_version);
+        front && gate && kinds
     }
 
     /// Attach live metrics, replaying the current stats into them so a
     /// restored intake's registry matches an uninterrupted run's.
     pub fn bind_metrics(&mut self, metrics: TransportMetrics) {
         self.metrics = metrics;
-        self.sync_metrics();
+        self.metrics.sync(&self.stats);
     }
 
-    /// Attach an event journal; template churn, sheds, parks, and
-    /// replays emit span events into it from here on.
+    /// Attach an event journal; sheds emit events into it from here on.
     pub fn bind_journal(&mut self, journal: Journal) {
         self.journal = journal;
-    }
-
-    fn sync_metrics(&self) {
-        self.metrics.sync(&self.stats, self.cache.counts());
     }
 
     /// Offer one packet at the front door. Returns `false` when it was
@@ -239,336 +159,75 @@ impl TransportIntake {
         Ok(n)
     }
 
-    /// Decode up to `budget` inbox packets, returning the work they
-    /// produced in arrival order.
+    /// Gate up to `budget` inbox packets, returning the sFlow datagrams
+    /// among them in arrival order.
     pub fn drain(&mut self, budget: usize) -> Vec<Drained> {
         let mut out = Vec::new();
         for _ in 0..budget {
             let Some((peer, packet)) = self.inbox.pop_front() else { break };
-            self.ingest_packet(peer, packet, &mut out);
+            self.gate(peer, packet, &mut out);
         }
-        self.sync_metrics();
+        self.metrics.sync(&self.stats);
         out
     }
 
-    /// End of stream: everything still queued or parked is flushed into
-    /// its terminal bucket so the final balance has no transient terms.
+    /// End of stream: everything still queued is shed, so the final
+    /// balance has no transient terms.
     pub fn finish(&mut self) -> TransportStats {
-        let mut flushed_inbox = 0u64;
+        let mut flushed = 0u64;
         while self.inbox.pop_front().is_some() {
             self.stats.shed += 1;
-            flushed_inbox += 1;
+            flushed += 1;
         }
-        if flushed_inbox > 0 {
-            self.journal.record(EventKind::Shed, 0, 0, flushed_inbox, self.stats.shed);
+        if flushed > 0 {
+            self.journal.record(EventKind::Shed, 0, 0, flushed, self.stats.shed);
         }
-        let mut flushed_parked = 0u64;
-        while self.parked.pop_front().is_some() {
-            self.stats.template_missing_dropped += 1;
-            flushed_parked += 1;
-        }
-        if flushed_parked > 0 {
-            // Parked packets flushed unresolved at end of stream
-            // (`sub_agent = 1` distinguishes this from front-door sheds).
-            self.journal.record(
-                EventKind::Shed,
-                0,
-                1,
-                flushed_parked,
-                self.stats.template_missing_dropped,
-            );
-        }
-        self.stats.pending = 0;
-        self.stats.pending_bytes = 0;
-        self.sync_metrics();
+        self.metrics.sync(&self.stats);
         self.stats
     }
 
-    /// Classify and decode one packet by its leading version field.
-    fn ingest_packet(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
+    /// The 2-byte version gate: sFlow v5 passes through whole, anything
+    /// else is a counted decode error.
+    fn gate(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
         self.stats.received += 1;
-        let tag = match packet.get(..2) {
-            Some(&[a, b]) => u16::from_be_bytes([a, b]),
-            _ => {
-                self.stats.decode_errors += 1;
-                self.stats.truncated += 1;
-                return;
-            }
-        };
-        match tag {
-            // An sFlow v5 datagram leads with a u32 version, so its
-            // first 16 bits are zero; the collector owns its decode.
-            0x0000 => {
-                self.stats.accepted += 1;
+        match packet.get(..2) {
+            Some(&[0, 0]) => {
                 self.stats.sflow_datagrams += 1;
                 out.push(Drained::Sflow { peer, datagram: packet });
             }
-            netflow5::VERSION => self.ingest_v5(peer, &packet, out),
-            netflow9::VERSION | ipfix::VERSION => self.ingest_templated(peer, packet, out),
-            _ => {
+            Some(_) => {
                 self.stats.decode_errors += 1;
                 self.stats.bad_version += 1;
             }
-        }
-    }
-
-    /// Decode a template-free NetFlow v5 packet.
-    fn ingest_v5(&mut self, peer: u64, packet: &[u8], out: &mut Vec<Drained>) {
-        let p = match netflow5::decode(packet) {
-            Ok(p) => p,
-            Err(fault) => {
-                self.count_fault(fault);
+            None => {
                 self.stats.decode_errors += 1;
-                return;
-            }
-        };
-        let domain = (u32::from(p.engine.0) << 8) | u32::from(p.engine.1);
-        if self.seen_before(peer, netflow5::VERSION, domain, p.sequence) {
-            self.stats.duplicates += 1;
-            return;
-        }
-        self.stats.accepted += 1;
-        self.stats.v5_packets += 1;
-        self.stats.flows = self.stats.flows.saturating_add(p.records.len() as u64);
-        out.push(Drained::Flows { peer, records: p.records });
-    }
-
-    /// Decode a template-described v9/IPFIX packet, parking it whole
-    /// when its template has not arrived yet.
-    fn ingest_templated(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
-        let counts_before = self.cache.counts();
-        let d = match decode_templated(&packet, peer, &mut self.cache) {
-            Ok(d) => d,
-            Err(fault) => {
-                self.journal_template_churn(peer, counts_before);
-                self.count_fault(fault);
-                self.stats.decode_errors += 1;
-                return;
-            }
-        };
-        self.journal_template_churn(peer, counts_before);
-        if self.seen_before(peer, d.version, d.domain, d.sequence) {
-            self.stats.duplicates += 1;
-            return;
-        }
-        if d.missing_template {
-            self.park(peer, packet);
-        } else {
-            self.stats.accepted += 1;
-            match d.version {
-                netflow9::VERSION => self.stats.v9_packets += 1,
-                _ => self.stats.ipfix_packets += 1,
-            }
-            self.stats.flows = self.stats.flows.saturating_add(d.records.len() as u64);
-            if !d.records.is_empty() {
-                out.push(Drained::Flows { peer, records: d.records });
-            }
-        }
-        if d.installed > 0 || d.refreshed > 0 {
-            self.replay_parked(out);
-        }
-    }
-
-    /// Journal template installs/refreshes and evictions that happened
-    /// inside one `decode_templated` call, from the cache-count deltas.
-    fn journal_template_churn(&self, peer: u64, before: (u64, u64, u64)) {
-        if !self.journal.is_enabled() {
-            return;
-        }
-        let (installed, refreshed, evicted) = self.cache.counts();
-        let new_installed = installed.saturating_sub(before.0);
-        let new_refreshed = refreshed.saturating_sub(before.1);
-        let new_evicted = evicted.saturating_sub(before.2);
-        if new_installed > 0 || new_refreshed > 0 {
-            self.journal.record(EventKind::TemplateInstall, peer, 0, new_installed, new_refreshed);
-        }
-        if new_evicted > 0 {
-            self.journal.record(EventKind::TemplateEvict, peer, 0, new_evicted, 0);
-        }
-    }
-
-    /// Replay parked packets after a template install, looping while
-    /// replays keep resolving (a replayed packet may itself install).
-    fn replay_parked(&mut self, out: &mut Vec<Drained>) {
-        let parked_before = self.parked.len() as u64;
-        loop {
-            let before = self.parked.len();
-            if before == 0 {
-                break;
-            }
-            let parked = std::mem::take(&mut self.parked);
-            self.stats.pending = 0;
-            self.stats.pending_bytes = 0;
-            for (peer, packet) in parked {
-                self.ingest_parked(peer, packet, out);
-            }
-            if self.parked.len() >= before {
-                break;
-            }
-        }
-        if parked_before > 0 {
-            let resolved = parked_before.saturating_sub(self.parked.len() as u64);
-            self.journal.record(EventKind::Replay, 0, 0, resolved, self.parked.len() as u64);
-        }
-    }
-
-    /// Re-run one parked packet (already dedup-checked at park time).
-    fn ingest_parked(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
-        let counts_before = self.cache.counts();
-        let d = match decode_templated(&packet, peer, &mut self.cache) {
-            Ok(d) => {
-                self.journal_template_churn(peer, counts_before);
-                d
-            }
-            Err(fault) => {
-                self.journal_template_churn(peer, counts_before);
-                // A parked packet can stop decoding if its template was
-                // refreshed to an incompatible layout in the meantime.
-                self.count_fault(fault);
-                self.stats.decode_errors += 1;
-                return;
-            }
-        };
-        if d.missing_template {
-            // Still unresolved: back on the bench (or dropped, counted,
-            // at the budget) — `park` owns that accounting.
-            self.park(peer, packet);
-        } else {
-            self.stats.accepted += 1;
-            match d.version {
-                netflow9::VERSION => self.stats.v9_packets += 1,
-                _ => self.stats.ipfix_packets += 1,
-            }
-            self.stats.flows = self.stats.flows.saturating_add(d.records.len() as u64);
-            if !d.records.is_empty() {
-                out.push(Drained::Flows { peer, records: d.records });
+                self.stats.truncated += 1;
             }
         }
     }
 
-    /// Park a packet whole, or drop it (accounted) at the byte budget.
-    fn park(&mut self, peer: u64, packet: Vec<u8>) {
-        let len = packet.len() as u64;
-        if self.stats.pending_bytes.saturating_add(len) > self.config.pending_byte_budget as u64 {
-            self.stats.template_missing_dropped += 1;
-            // Dropped at the parking byte budget (`sub_agent = 1`
-            // distinguishes this from front-door sheds, as in `finish`).
-            self.journal.record(EventKind::Shed, peer, 1, 1, self.stats.template_missing_dropped);
-            return;
-        }
-        self.stats.pending += 1;
-        self.stats.pending_bytes = self.stats.pending_bytes.saturating_add(len);
-        self.parked.push_back((peer, packet));
-        self.journal.record(EventKind::Park, peer, 0, self.stats.pending, self.stats.pending_bytes);
-    }
-
-    /// Record `fault` in its per-kind bucket (the caller bumps the sum).
-    fn count_fault(&mut self, fault: DecodeFault) {
-        match fault {
-            DecodeFault::Truncated => self.stats.truncated += 1,
-            DecodeFault::BadVersion(_) => self.stats.bad_version += 1,
-            DecodeFault::Inconsistent => self.stats.inconsistent += 1,
-        }
-    }
-
-    /// Check-and-record `sequence` in the exporter's dedup window.
-    fn seen_before(&mut self, peer: u64, version: u16, domain: u32, sequence: u32) -> bool {
-        let key = (peer, version, domain);
-        if !self.seen.contains_key(&key) && self.seen.len() >= MAX_DEDUP_KEYS {
-            // Bounded state: forget the smallest key. Losing a window
-            // only risks missing a duplicate, never losing a packet.
-            if let Some(first) = self.seen.keys().next().copied() {
-                self.seen.remove(&first);
-            }
-        }
-        let window = self.seen.entry(key).or_default();
-        if window.contains(&sequence) {
-            return true;
-        }
-        window.push_back(sequence);
-        while window.len() > self.config.dedup_window.max(1) {
-            window.pop_front();
-        }
-        false
-    }
-
-    /// Serialize the intake — stats, dedup windows, parked packets,
-    /// inbox, template cache, and bounds — deterministically, with a
-    /// trailing FNV-1a-64 checksum so storage damage (bit flips,
+    /// Serialize the intake — bound, stats and inbox — deterministically,
+    /// with a trailing FNV-1a-64 checksum so storage damage (bit flips,
     /// truncation, extension) is detected before the codec runs.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, TRANSPORT_STATE_VERSION);
-        // Bounds first: restore rebuilds the same shedding behaviour.
+        // The bound first: restore rebuilds the same shedding behaviour.
         put_u64(&mut out, self.config.inbox_capacity as u64);
-        put_u64(&mut out, self.config.pending_byte_budget as u64);
-        put_u64(&mut out, self.config.dedup_window as u64);
-        put_u64(&mut out, self.config.template_cache.max_domains as u64);
-        put_u64(&mut out, self.config.template_cache.max_templates_per_domain as u64);
         // Stats, in declaration order, mirroring `restore_from` exactly.
         let s = &self.stats;
         put_u64(&mut out, s.offered);
         put_u64(&mut out, s.received);
-        put_u64(&mut out, s.accepted);
-        put_u64(&mut out, s.duplicates);
+        put_u64(&mut out, s.shed);
+        put_u64(&mut out, s.sflow_datagrams);
         put_u64(&mut out, s.decode_errors);
         put_u64(&mut out, s.truncated);
         put_u64(&mut out, s.bad_version);
-        put_u64(&mut out, s.inconsistent);
-        put_u64(&mut out, s.shed);
-        put_u64(&mut out, s.template_missing_dropped);
-        put_u64(&mut out, s.pending);
-        put_u64(&mut out, s.pending_bytes);
-        put_u64(&mut out, s.flows);
-        put_u64(&mut out, s.sflow_datagrams);
-        put_u64(&mut out, s.v5_packets);
-        put_u64(&mut out, s.v9_packets);
-        put_u64(&mut out, s.ipfix_packets);
-        // Dedup windows (BTreeMap: already sorted, so deterministic).
-        put_u64(&mut out, self.seen.len() as u64);
-        for ((peer, version, domain), window) in &self.seen {
-            put_u64(&mut out, *peer);
-            put_u16(&mut out, *version);
-            put_u32(&mut out, *domain);
-            put_u64(&mut out, window.len() as u64);
-            for seq in window {
-                put_u32(&mut out, *seq);
-            }
-        }
-        // Parked packets and inbox, verbatim and in order.
-        put_u64(&mut out, self.parked.len() as u64);
-        for (peer, packet) in &self.parked {
-            put_u64(&mut out, *peer);
-            put_bytes(&mut out, packet);
-        }
+        // The inbox, verbatim and in order.
         put_u64(&mut out, self.inbox.len() as u64);
         for (peer, packet) in &self.inbox {
             put_u64(&mut out, *peer);
             put_bytes(&mut out, packet);
-        }
-        // Template cache.
-        put_u64(&mut out, self.cache.tick);
-        let (installed, refreshed, evicted) = self.cache.counts();
-        put_u64(&mut out, installed);
-        put_u64(&mut out, refreshed);
-        put_u64(&mut out, evicted);
-        put_u64(&mut out, self.cache.domains.len() as u64);
-        for ((peer, odid), domain) in &self.cache.domains {
-            put_u64(&mut out, *peer);
-            put_u32(&mut out, *odid);
-            put_u64(&mut out, domain.last_used);
-            put_u64(&mut out, domain.templates.len() as u64);
-            for (id, t) in &domain.templates {
-                put_u16(&mut out, *id);
-                put_u32(&mut out, t.revision);
-                put_u32(&mut out, t.record_len);
-                put_u64(&mut out, t.last_used);
-                put_u16(&mut out, t.fields.len() as u16);
-                for (ie, len) in &t.fields {
-                    put_u16(&mut out, *ie);
-                    put_u16(&mut out, *len);
-                }
-            }
         }
         // The seal is outside the field codec (restore strips it before
         // the cursor runs), so it is appended raw, not as a field write.
@@ -598,122 +257,32 @@ impl TransportIntake {
         if version != TRANSPORT_STATE_VERSION {
             return Err(StateError::BadVersion(version));
         }
-        let as_usize =
-            |v: u64| usize::try_from(v).map_err(|_| StateError::Invalid("bound overflows usize"));
-        let config = TransportConfig {
-            inbox_capacity: as_usize(cur.u64()?)?,
-            pending_byte_budget: as_usize(cur.u64()?)?,
-            dedup_window: as_usize(cur.u64()?)?,
-            template_cache: TemplateCacheConfig {
-                max_domains: as_usize(cur.u64()?)?,
-                max_templates_per_domain: as_usize(cur.u64()?)?,
-            },
-        };
+        let inbox_capacity = usize::try_from(cur.u64()?)
+            .map_err(|_| StateError::Invalid("bound overflows usize"))?;
         let stats = TransportStats {
             offered: cur.u64()?,
             received: cur.u64()?,
-            accepted: cur.u64()?,
-            duplicates: cur.u64()?,
+            shed: cur.u64()?,
+            sflow_datagrams: cur.u64()?,
             decode_errors: cur.u64()?,
             truncated: cur.u64()?,
             bad_version: cur.u64()?,
-            inconsistent: cur.u64()?,
-            shed: cur.u64()?,
-            template_missing_dropped: cur.u64()?,
-            pending: cur.u64()?,
-            pending_bytes: cur.u64()?,
-            flows: cur.u64()?,
-            sflow_datagrams: cur.u64()?,
-            v5_packets: cur.u64()?,
-            v9_packets: cur.u64()?,
-            ipfix_packets: cur.u64()?,
         };
-        let mut seen: BTreeMap<(u64, u16, u32), VecDeque<u32>> = BTreeMap::new();
-        let mut prev_key: Option<(u64, u16, u32)> = None;
-        for _ in 0..cur.count(14)? {
-            let key = (cur.u64()?, cur.u16()?, cur.u32()?);
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err(StateError::Invalid("dedup keys not strictly sorted"));
-            }
-            prev_key = Some(key);
-            let mut window = VecDeque::new();
-            for _ in 0..cur.count(4)? {
-                window.push_back(cur.u32()?);
-            }
-            seen.insert(key, window);
-        }
-        let mut parked = VecDeque::new();
-        for _ in 0..cur.count(16)? {
-            let peer = cur.u64()?;
-            let packet = cur.bytes()?.to_vec();
-            parked.push_back((peer, packet));
-        }
         let mut inbox = VecDeque::new();
         for _ in 0..cur.count(16)? {
             let peer = cur.u64()?;
             let packet = cur.bytes()?.to_vec();
             inbox.push_back((peer, packet));
         }
-        let mut cache = TemplateCache::new(config.template_cache);
-        cache.tick = cur.u64()?;
-        cache.installed = cur.u64()?;
-        cache.refreshed = cur.u64()?;
-        cache.evicted = cur.u64()?;
-        let mut prev_domain: Option<(u64, u32)> = None;
-        for _ in 0..cur.count(24)? {
-            let key = (cur.u64()?, cur.u32()?);
-            if prev_domain.is_some_and(|p| p >= key) {
-                return Err(StateError::Invalid("template domains not strictly sorted"));
-            }
-            prev_domain = Some(key);
-            let last_used = cur.u64()?;
-            let mut templates = BTreeMap::new();
-            let mut prev_id: Option<u16> = None;
-            for _ in 0..cur.count(14)? {
-                let id = cur.u16()?;
-                if prev_id.is_some_and(|p| p >= id) {
-                    return Err(StateError::Invalid("template ids not strictly sorted"));
-                }
-                prev_id = Some(id);
-                let revision = cur.u32()?;
-                let record_len = cur.u32()?;
-                let t_last_used = cur.u64()?;
-                let n_fields = usize::from(cur.u16()?);
-                let mut fields = Vec::new();
-                let mut sum = 0u32;
-                for _ in 0..n_fields {
-                    let ie = cur.u16()?;
-                    let len = cur.u16()?;
-                    sum = sum.saturating_add(u32::from(len));
-                    fields.push((ie, len));
-                }
-                if sum != record_len {
-                    return Err(StateError::Invalid("template record_len does not match fields"));
-                }
-                templates.insert(
-                    id,
-                    Template { fields, record_len, revision, last_used: t_last_used },
-                );
-            }
-            cache
-                .domains
-                .insert(key, crate::template::Domain { last_used, templates });
-        }
         cur.finish()?;
 
         let intake = TransportIntake {
-            config,
+            config: TransportConfig { inbox_capacity },
             stats,
             inbox,
-            parked,
-            seen,
-            cache,
             metrics: TransportMetrics::detached(),
             journal: Journal::disabled(),
         };
-        if stats.pending != intake.parked.len() as u64 {
-            return Err(StateError::Invalid("pending count disagrees with parked packets"));
-        }
         if !intake.fully_accounted() {
             return Err(StateError::Invalid("restored accounting does not balance"));
         }
@@ -721,131 +290,37 @@ impl TransportIntake {
     }
 }
 
-/// FNV-1a-64 over `bytes` — the state blob's damage-detection seal (the
-/// per-byte state evolution is bijective, so any single-bit flip at
-/// unchanged length is always detected).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The protocol-neutral shape both templated decoders reduce to.
-struct TemplatedOutcome {
-    version: u16,
-    domain: u32,
-    sequence: u32,
-    records: Vec<FlowRecord>,
-    installed: u32,
-    refreshed: u32,
-    missing_template: bool,
-}
-
-/// Dispatch a v9/IPFIX packet to its decoder by the version field the
-/// caller already classified on.
-fn decode_templated(
-    packet: &[u8],
-    peer: u64,
-    cache: &mut TemplateCache,
-) -> Result<TemplatedOutcome, DecodeFault> {
-    match packet.get(..2) {
-        Some(&[0x00, 0x09]) => {
-            let o = netflow9::decode(packet, peer, cache)?;
-            Ok(TemplatedOutcome {
-                version: netflow9::VERSION,
-                domain: o.source_id,
-                sequence: o.sequence,
-                records: o.records,
-                installed: o.installed,
-                refreshed: o.refreshed,
-                missing_template: o.missing_template,
-            })
-        }
-        Some(&[0x00, 0x0A]) => {
-            let o = ipfix::decode(packet, peer, cache)?;
-            Ok(TemplatedOutcome {
-                version: ipfix::VERSION,
-                domain: o.observation_domain,
-                sequence: o.sequence,
-                records: o.records,
-                installed: o.installed,
-                refreshed: o.refreshed,
-                missing_template: o.missing_template,
-            })
-        }
-        _ => Err(DecodeFault::Truncated),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowRecord;
-    use std::net::Ipv4Addr;
 
-    fn rec(i: u8) -> FlowRecord {
-        FlowRecord {
-            src: Ipv4Addr::new(10, 1, 0, i),
-            dst: Ipv4Addr::new(10, 2, 0, i),
-            src_port: 1000 + u16::from(i),
-            dst_port: 443,
-            proto: 6,
-            packets: 4,
-            bytes: 600,
-        }
-    }
-
-    fn v5(seq: u32, n: u8) -> Vec<u8> {
-        netflow5::encode(&netflow5::V5Packet {
-            sequence: seq,
-            engine: (0, 1),
-            sampling_interval: 1,
-            records: (0..n).map(rec).collect(),
-        })
-    }
+    const SFLOW: &[u8] = b"\x00\x00\x00\x05sflowish";
 
     fn intake() -> TransportIntake {
         TransportIntake::new(TransportConfig::default())
     }
 
     #[test]
-    fn mixed_protocols_accept_and_account() {
+    fn version_gate_passes_sflow_and_counts_the_rest() {
         let mut t = intake();
-        let fields = netflow9::encode::flow_template_fields();
-        assert!(t.offer(1, &v5(1, 2)));
-        assert!(t.offer(2, &netflow9::encode::packet(1, 7, 260, Some(&fields), &[rec(1)])));
-        assert!(t.offer(3, &ipfix::encode::packet(1, 9, 300, Some(&fields), &[rec(2)])));
-        assert!(t.offer(4, b"\x00\x00\x00\x05sflowish"));
-        assert!(t.offer(5, &[0xBE, 0xEF, 0, 0]));
+        assert!(t.offer(1, SFLOW));
+        assert!(t.offer(2, &[0xBE, 0xEF, 0, 0]));
+        assert!(t.offer(3, &[0x00]));
+        assert!(t.offer(4, &[]));
         let work = t.drain(16);
-        let flows: usize = work
-            .iter()
-            .map(|d| match d {
-                Drained::Flows { records, .. } => records.len(),
-                Drained::Sflow { .. } => 0,
-            })
-            .sum();
-        assert_eq!(flows, 4);
+        assert_eq!(work, vec![Drained::Sflow { peer: 1, datagram: SFLOW.to_vec() }]);
         let s = t.finish();
-        assert_eq!(s.offered, 5);
-        assert_eq!(s.accepted, 4);
-        assert_eq!(s.decode_errors, 1);
-        assert_eq!(s.bad_version, 1);
-        assert_eq!((s.sflow_datagrams, s.v5_packets, s.v9_packets, s.ipfix_packets), (1, 1, 1, 1));
+        assert_eq!(s.offered, 4);
+        assert_eq!(s.sflow_datagrams, 1);
+        assert_eq!((s.decode_errors, s.bad_version, s.truncated), (3, 1, 2));
         assert!(t.fully_accounted());
     }
 
     #[test]
     fn inbox_bound_sheds_with_accounting() {
-        let mut t = TransportIntake::new(TransportConfig {
-            inbox_capacity: 2,
-            ..TransportConfig::default()
-        });
-        for i in 0..5u32 {
-            t.offer(1, &v5(i, 1));
+        let mut t = TransportIntake::new(TransportConfig { inbox_capacity: 2 });
+        for _ in 0..5 {
+            t.offer(1, SFLOW);
         }
         let s = t.stats();
         assert_eq!(s.offered, 5);
@@ -853,151 +328,53 @@ mod tests {
         assert!(t.fully_accounted());
         t.drain(16);
         assert!(t.fully_accounted());
-        assert_eq!(t.stats().accepted, 2);
+        assert_eq!(t.stats().sflow_datagrams, 2);
     }
 
     #[test]
-    fn withheld_template_parks_then_replays() {
-        let mut t = intake();
-        let fields = netflow9::encode::flow_template_fields();
-        // Data first: parked, no records emitted.
-        t.offer(1, &netflow9::encode::packet(1, 7, 260, None, &[rec(1), rec(2)]));
-        let work = t.drain(16);
-        assert!(work.is_empty());
-        assert_eq!(t.stats().pending, 1);
-        assert!(t.fully_accounted());
-        // Template arrives: the parked packet replays and resolves.
-        t.offer(1, &netflow9::encode::packet(2, 7, 260, Some(&fields), &[]));
-        let work = t.drain(16);
-        let flows: usize = work
-            .iter()
-            .map(|d| match d {
-                Drained::Flows { records, .. } => records.len(),
-                Drained::Sflow { .. } => 0,
-            })
-            .sum();
-        assert_eq!(flows, 2);
-        let s = t.finish();
-        assert_eq!(s.pending, 0);
-        assert_eq!(s.template_missing_dropped, 0);
-        assert_eq!(s.accepted, 2);
-        assert!(t.fully_accounted());
-    }
-
-    #[test]
-    fn journal_sees_park_replay_and_template_churn() {
-        let mut t = intake();
+    fn journal_sees_front_door_and_finish_sheds() {
+        let mut t = TransportIntake::new(TransportConfig { inbox_capacity: 1 });
         let journal = Journal::deterministic();
         t.bind_journal(journal.clone());
-        let fields = netflow9::encode::flow_template_fields();
-        // Data-before-template parks; the template install replays it.
-        t.offer(1, &netflow9::encode::packet(1, 7, 260, None, &[rec(1)]));
-        t.drain(16);
-        t.offer(1, &netflow9::encode::packet(2, 7, 260, Some(&fields), &[]));
-        t.drain(16);
-        let kinds: Vec<EventKind> = journal.events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::Park), "no park event: {kinds:?}");
-        assert!(kinds.contains(&EventKind::TemplateInstall), "no install event: {kinds:?}");
-        assert!(kinds.contains(&EventKind::Replay), "no replay event: {kinds:?}");
-        let replay = journal
-            .events()
-            .iter()
-            .rev()
-            .find(|e| e.kind == EventKind::Replay)
-            .copied()
-            .expect("replay event");
-        assert_eq!((replay.a, replay.b), (1, 0), "one packet resolved, none left parked");
-    }
-
-    #[test]
-    fn journal_sees_front_door_and_budget_sheds() {
-        let mut t = TransportIntake::new(TransportConfig {
-            inbox_capacity: 1,
-            pending_byte_budget: 1,
-            ..TransportConfig::default()
-        });
-        let journal = Journal::deterministic();
-        t.bind_journal(journal.clone());
-        t.offer(1, &v5(1, 1));
-        t.offer(1, &v5(2, 1)); // front-door shed (inbox full)
-        t.drain(16);
-        t.offer(2, &netflow9::encode::packet(1, 7, 260, None, &[rec(1)]));
-        t.drain(16); // budget shed (pending_byte_budget = 1)
+        t.offer(1, SFLOW);
+        t.offer(7, SFLOW); // front-door shed (inbox full)
+        t.finish(); // flushes the undrained packet
         let sheds: Vec<_> =
             journal.events().iter().filter(|e| e.kind == EventKind::Shed).copied().collect();
-        assert!(sheds.iter().any(|e| e.sub_agent == 0), "no front-door shed: {sheds:?}");
-        assert!(sheds.iter().any(|e| e.sub_agent == 1), "no budget shed: {sheds:?}");
+        assert_eq!(sheds.len(), 2, "{sheds:?}");
+        assert_eq!((sheds[0].agent, sheds[0].a, sheds[0].b), (7, 1, 1));
+        assert_eq!((sheds[1].a, sheds[1].b), (1, 2));
     }
 
     #[test]
-    fn parking_budget_drops_with_accounting() {
-        let mut t = TransportIntake::new(TransportConfig {
-            pending_byte_budget: 64,
-            ..TransportConfig::default()
-        });
-        for seq in 0..8u32 {
-            t.offer(1, &netflow9::encode::packet(seq, 7, 260, None, &[rec(1)]));
-        }
-        t.drain(16);
-        let s = t.stats();
-        assert!(s.template_missing_dropped > 0, "budget never tripped");
-        assert!(s.pending > 0, "budget admitted nothing");
-        assert!(t.fully_accounted());
-        let final_s = t.finish();
-        assert_eq!(final_s.pending, 0);
-        assert_eq!(
-            final_s.template_missing_dropped + final_s.accepted + final_s.duplicates,
-            final_s.received
-        );
-    }
-
-    #[test]
-    fn duplicates_are_suppressed_per_domain() {
+    fn finish_sheds_the_undrained_inbox() {
         let mut t = intake();
-        let packet = v5(41, 2);
-        t.offer(1, &packet);
-        t.offer(1, &packet);
-        // Same sequence from a different peer is not a duplicate.
-        t.offer(2, &packet);
-        t.drain(16);
-        let s = t.finish();
-        assert_eq!(s.accepted, 2);
-        assert_eq!(s.duplicates, 1);
-        assert!(t.fully_accounted());
-    }
-
-    #[test]
-    fn finish_flushes_unresolved_to_template_missing_dropped() {
-        let mut t = intake();
-        t.offer(1, &netflow9::encode::packet(1, 7, 260, None, &[rec(1)]));
-        t.offer(1, &v5(9, 1)); // left in the inbox: shed by finish
+        t.offer(1, SFLOW);
+        t.offer(1, SFLOW); // left in the inbox: shed by finish
         t.drain(1);
         let s = t.finish();
-        assert_eq!(s.template_missing_dropped, 1);
-        assert_eq!(s.shed, 1);
-        assert_eq!(s.pending, 0);
+        assert_eq!((s.sflow_datagrams, s.shed), (1, 1));
         assert!(t.fully_accounted());
     }
 
     #[test]
     fn checkpoint_roundtrips_byte_identically() {
         let mut t = intake();
-        let fields = netflow9::encode::flow_template_fields();
-        t.offer(1, &netflow9::encode::packet(1, 7, 260, Some(&fields), &[rec(1)]));
-        t.offer(2, &ipfix::encode::packet(1, 9, 300, None, &[rec(2)])); // parks
-        t.offer(3, &v5(5, 1));
+        t.offer(1, SFLOW);
+        t.offer(2, &[0xFF; 9]);
+        t.offer(3, SFLOW);
         t.drain(2); // leave one packet in the inbox
         let blob = t.save_state();
         let restored = TransportIntake::restore_from(&blob).unwrap();
         assert_eq!(restored.save_state(), blob, "save → restore → save drifted");
         assert_eq!(restored.stats(), t.stats());
-        assert!(restored.fully_accounted());
+        assert_eq!(restored.inbox_len(), 1);
     }
 
     #[test]
     fn restore_is_fail_closed() {
         let mut t = intake();
-        t.offer(1, &v5(1, 1));
+        t.offer(1, SFLOW);
         t.drain(16);
         let blob = t.save_state();
         for cut in 0..blob.len() {
@@ -1022,7 +399,7 @@ mod tests {
         ));
         // Tamper with a stats field: the balance check must catch it.
         let mut unbalanced = blob.clone();
-        let offered_at = 4 + 5 * 8 + 7; // version + bounds, low byte of `offered`
+        let offered_at = 4 + 8 + 7; // version + bound, low byte of `offered`
         unbalanced[offered_at] = unbalanced[offered_at].wrapping_add(1);
         assert!(TransportIntake::restore_from(&reseal(unbalanced)).is_err());
         // Without a reseal, EVERY single-bit flip is caught by the seal.
@@ -1039,28 +416,18 @@ mod tests {
     }
 
     #[test]
-    fn resume_mid_withhold_loses_nothing() {
+    fn resume_with_a_queued_inbox_loses_nothing() {
         let mut t = intake();
-        let fields = netflow9::encode::flow_template_fields();
-        t.offer(1, &netflow9::encode::packet(1, 7, 260, None, &[rec(1), rec(2)]));
-        t.drain(16);
+        t.offer(1, SFLOW);
+        t.offer(1, SFLOW);
+        t.drain(1);
         let blob = t.save_state();
         drop(t);
-        // New process: restore, then the withheld template finally lands.
+        // New process: restore, then drain what was still queued.
         let mut t2 = TransportIntake::restore_from(&blob).unwrap();
-        t2.offer(1, &netflow9::encode::packet(2, 7, 260, Some(&fields), &[]));
-        let work = t2.drain(16);
-        let flows: usize = work
-            .iter()
-            .map(|d| match d {
-                Drained::Flows { records, .. } => records.len(),
-                Drained::Sflow { .. } => 0,
-            })
-            .sum();
-        assert_eq!(flows, 2, "parked packet lost across the checkpoint");
+        assert_eq!(t2.drain(16).len(), 1, "queued datagram lost across the checkpoint");
         let s = t2.finish();
-        assert_eq!(s.accepted, 2);
-        assert_eq!(s.template_missing_dropped, 0);
+        assert_eq!((s.sflow_datagrams, s.shed), (2, 0));
         assert!(t2.fully_accounted());
     }
 }

@@ -1,48 +1,31 @@
-//! # ixp-transport — hardened wire transport for the collector
+//! # ixp-transport — the sFlow-over-UDP front door of the collector
 //!
 //! The front-end that turns raw datagrams (loopback UDP or a
 //! deterministic in-memory link) into work for the sFlow
 //! collector/supervisor pipeline, with the same contracts the rest of
 //! the workspace holds decoders to:
 //!
-//! * **fail-closed decode** — NetFlow v5 ([`netflow5`]), NetFlow v9
-//!   ([`netflow9`]), and IPFIX ([`ipfix`]) packets either decode
-//!   completely or are rejected with a typed [`error::DecodeFault`];
-//!   no panics, no partial records, every length proven against the
-//!   bytes present;
-//! * **bounded template state** — v9/IPFIX templates live in a
-//!   per-(peer, observation-domain) LRU cache ([`template`]) with hard
-//!   bounds and refresh-on-conflict versioning;
-//! * **conservation accounting** — the intake ([`intake`]) puts every
-//!   offered packet in exactly one bucket, extending the pipeline
-//!   invariant with a `template_missing_dropped` term for data that
-//!   outran its template and a transient `pending` parking lot;
+//! * **bounded intake** — the intake ([`intake`]) queues at most
+//!   `inbox_capacity` packets and counts every packet it sheds;
+//! * **version gate** — a packet whose leading 16 bits are zero is an
+//!   sFlow v5 datagram and passes through whole to the collector;
+//!   anything else is a counted decode error, never a panic;
+//! * **conservation accounting** — every offered packet lands in exactly
+//!   one bucket, extending the pipeline invariant to the wire, and the
+//!   buckets are exported as `transport_*` metrics ([`metrics`]);
 //! * **checkpointable** — intake state serializes via the same
-//!   versioned fail-closed codec as the collector, so a supervisor
-//!   kill-and-resume mid-template-withhold loses nothing;
-//! * **deterministic replay** — [`gen`] produces seeded workloads and
-//!   [`link::MemLink`] carries them reproducibly, so CI gates never
-//!   depend on socket permissions ([`link::UdpLink`] is the same
-//!   packets over a real loopback socket).
+//!   versioned, sealed, fail-closed codec style as the collector, so a
+//!   supervisor kill-and-resume loses nothing;
+//! * **deterministic replay** — [`link::MemLink`] carries packets
+//!   reproducibly, so CI gates never depend on socket permissions
+//!   ([`link::UdpLink`] is the same packets over a real loopback socket).
 
-pub mod error;
-pub mod flow;
-pub mod gen;
 pub mod intake;
-pub mod ipfix;
 pub mod link;
 pub mod metrics;
-pub mod netflow5;
-pub mod netflow9;
-pub mod rd;
-pub mod template;
 
-pub use error::{DecodeFault, LinkError};
-pub use flow::FlowRecord;
-pub use gen::{generate, FlowGenConfig, FIN};
 pub use intake::{
     Drained, TransportConfig, TransportIntake, TransportStats, TRANSPORT_STATE_VERSION,
 };
-pub use link::{peer_id, Link, MemLink, UdpLink, MAX_PACKET};
+pub use link::{peer_id, Link, LinkError, MemLink, UdpLink, MAX_PACKET};
 pub use metrics::TransportMetrics;
-pub use template::{Install, Template, TemplateCache, TemplateCacheConfig};

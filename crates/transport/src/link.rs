@@ -4,18 +4,41 @@
 //! A [`Link`] delivers `(peer, packet)` pairs without blocking forever:
 //! `recv` returns `Ok(None)` when nothing is pending (after at most the
 //! configured poll timeout for the UDP flavour). [`MemLink`] is a pure
-//! FIFO — CI and the soak gate use it so no gate ever depends on socket
+//! FIFO — the CI smoke uses it so no gate ever depends on socket
 //! permissions — while [`UdpLink`] carries the same packets over a real
-//! non-blocking loopback socket for the `flowgen → repro` smoke.
+//! loopback socket for `repro --transport udp`.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-use crate::error::LinkError;
-
 /// Largest datagram the UDP receive path accepts (the IPv4 UDP maximum).
 pub const MAX_PACKET: usize = 65_535;
+
+/// A socket-level failure of a [`Link`] — never a panic, so the caller
+/// can say why and fall back.
+#[derive(Debug)]
+pub enum LinkError {
+    /// Binding the local address was denied or failed.
+    Bind(std::io::Error),
+    /// A send failed at the OS level.
+    Send(std::io::Error),
+    /// A receive failed at the OS level (timeouts are not errors).
+    Recv(std::io::Error),
+}
+
+impl fmt::Display for LinkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LinkError::Bind(e) => write!(f, "udp bind denied: {e}"),
+            LinkError::Send(e) => write!(f, "udp send failed: {e}"),
+            LinkError::Recv(e) => write!(f, "udp recv failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for LinkError {}
 
 /// A source of `(peer, packet)` pairs. `peer` is a stable 64-bit identity
 /// of the sending exporter (for UDP, derived from the source address).
@@ -30,8 +53,9 @@ pub trait Link {
 }
 
 /// Deterministic in-memory link: a FIFO of `(peer, packet)` pairs.
-/// Same sends, same receives, byte for byte — the fallback CI uses when
-/// UDP binding is denied, and the substrate of `tests/transport_soak.rs`.
+/// Same sends, same receives, byte for byte — the link of
+/// `repro --transport memory`, which CI relies on when UDP binding is
+/// denied.
 #[derive(Debug, Default)]
 pub struct MemLink {
     queue: VecDeque<(u64, Vec<u8>)>,
@@ -41,11 +65,6 @@ impl MemLink {
     /// An empty link.
     pub fn new() -> MemLink {
         MemLink::default()
-    }
-
-    /// Packets queued and not yet received.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -113,7 +132,7 @@ impl UdpLink {
         Ok(UdpLink { socket, target: Some(target), buf: vec![0u8; MAX_PACKET] })
     }
 
-    /// The bound local address (the port to aim `flowgen` at).
+    /// The bound local address (the target to `connect` a sender to).
     pub fn local_addr(&self) -> Result<SocketAddr, LinkError> {
         self.socket.local_addr().map_err(LinkError::Bind)
     }
@@ -155,7 +174,6 @@ mod tests {
         for i in 0..10u8 {
             link.send(u64::from(i), &[i]).unwrap();
         }
-        assert_eq!(link.pending(), 10);
         for i in 0..10u8 {
             assert_eq!(link.recv().unwrap(), Some((u64::from(i), vec![i])));
         }

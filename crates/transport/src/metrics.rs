@@ -12,51 +12,25 @@
 //! A default-constructed (detached) bundle counts into thin air, so the
 //! uninstrumented path stays cheap.
 
-use ixp_obs::{Counter, Gauge, Registry};
+use ixp_obs::{Counter, Registry};
 
 use crate::intake::TransportStats;
 
-/// Counter/gauge bundle for transport intake accounting.
+/// Counter bundle for transport intake accounting.
 #[derive(Debug, Clone, Default)]
 pub struct TransportMetrics {
     /// Packets offered at the front door (`transport_offered_total`).
     pub offered: Counter,
-    /// Packets that reached the decode stage.
+    /// Packets that reached the version gate.
     pub received: Counter,
-    /// Packets fully decoded and handed downstream.
+    /// sFlow datagrams passed through downstream.
     pub accepted: Counter,
-    /// Accepted packets by protocol: sFlow passthrough.
-    pub sflow: Counter,
-    /// Accepted packets by protocol: NetFlow v5.
-    pub v5: Counter,
-    /// Accepted packets by protocol: NetFlow v9.
-    pub v9: Counter,
-    /// Accepted packets by protocol: IPFIX.
-    pub ipfix: Counter,
-    /// Retransmit duplicates suppressed.
-    pub duplicates: Counter,
-    /// Decode errors: ran out of bytes.
+    /// Decode errors: shorter than the version field.
     pub truncated: Counter,
-    /// Decode errors: unknown version field.
+    /// Decode errors: a version field other than sFlow's.
     pub bad_version: Counter,
-    /// Decode errors: inconsistent framing.
-    pub inconsistent: Counter,
     /// Packets shed at the inbox bound.
     pub shed: Counter,
-    /// Template-less packets dropped at the parking budget or flush.
-    pub template_missing_dropped: Counter,
-    /// Flow records decoded out of accepted packets.
-    pub flows: Counter,
-    /// Templates installed (first sightings).
-    pub templates_installed: Counter,
-    /// Templates refreshed-on-conflict.
-    pub templates_refreshed: Counter,
-    /// Templates evicted by a cache bound.
-    pub templates_evicted: Counter,
-    /// Packets currently parked awaiting a template.
-    pub pending: Gauge,
-    /// Bytes currently parked awaiting a template.
-    pub pending_bytes: Gauge,
 }
 
 impl TransportMetrics {
@@ -67,41 +41,21 @@ impl TransportMetrics {
 
     /// Register the bundle in `registry` under the `transport_*` families.
     pub fn register(registry: &Registry) -> TransportMetrics {
-        let proto =
-            |p: &str| registry.counter(&format!("transport_packets_total{{proto=\"{p}\"}}"));
         let kind =
             |k: &str| registry.counter(&format!("transport_decode_errors_total{{kind=\"{k}\"}}"));
-        let tmpl =
-            |e: &str| registry.counter(&format!("transport_templates_total{{event=\"{e}\"}}"));
         TransportMetrics {
             offered: registry.counter("transport_offered_total"),
             received: registry.counter("transport_received_total"),
             accepted: registry.counter("transport_accepted_total"),
-            sflow: proto("sflow"),
-            v5: proto("netflow5"),
-            v9: proto("netflow9"),
-            ipfix: proto("ipfix"),
-            duplicates: registry.counter("transport_duplicates_total"),
             truncated: kind("truncated"),
             bad_version: kind("bad_version"),
-            inconsistent: kind("inconsistent"),
             shed: registry.counter("transport_shed_total"),
-            template_missing_dropped: registry
-                .counter("transport_template_missing_dropped_total"),
-            flows: registry.counter("transport_flow_records_total"),
-            templates_installed: tmpl("installed"),
-            templates_refreshed: tmpl("refreshed"),
-            templates_evicted: tmpl("evicted"),
-            pending: registry.gauge("transport_pending_packets"),
-            pending_bytes: registry.gauge("transport_pending_bytes"),
         }
     }
 
     /// Top every counter up to the stats' current value (counters are
-    /// monotonic, so syncing is an `add` of the shortfall) and set the
-    /// gauges. `templates` is the cache's `(installed, refreshed,
-    /// evicted)` triple.
-    pub fn sync(&self, s: &TransportStats, templates: (u64, u64, u64)) {
+    /// monotonic, so syncing is an `add` of the shortfall).
+    pub fn sync(&self, s: &TransportStats) {
         let top_up = |c: &Counter, target: u64| {
             let have = c.get();
             if target > have {
@@ -110,23 +64,10 @@ impl TransportMetrics {
         };
         top_up(&self.offered, s.offered);
         top_up(&self.received, s.received);
-        top_up(&self.accepted, s.accepted);
-        top_up(&self.sflow, s.sflow_datagrams);
-        top_up(&self.v5, s.v5_packets);
-        top_up(&self.v9, s.v9_packets);
-        top_up(&self.ipfix, s.ipfix_packets);
-        top_up(&self.duplicates, s.duplicates);
+        top_up(&self.accepted, s.sflow_datagrams);
         top_up(&self.truncated, s.truncated);
         top_up(&self.bad_version, s.bad_version);
-        top_up(&self.inconsistent, s.inconsistent);
         top_up(&self.shed, s.shed);
-        top_up(&self.template_missing_dropped, s.template_missing_dropped);
-        top_up(&self.flows, s.flows);
-        top_up(&self.templates_installed, templates.0);
-        top_up(&self.templates_refreshed, templates.1);
-        top_up(&self.templates_evicted, templates.2);
-        self.pending.set(s.pending);
-        self.pending_bytes.set(s.pending_bytes);
     }
 }
 
@@ -138,20 +79,17 @@ mod tests {
     fn sync_tops_up_monotonically() {
         let registry = Registry::new();
         let m = TransportMetrics::register(&registry);
-        let mut s = TransportStats { offered: 5, received: 4, accepted: 3, ..Default::default() };
-        m.sync(&s, (2, 1, 0));
+        let mut s = TransportStats { offered: 5, received: 4, sflow_datagrams: 3, ..Default::default() };
+        m.sync(&s);
         // Re-syncing the same stats is idempotent.
-        m.sync(&s, (2, 1, 0));
+        m.sync(&s);
         assert_eq!(m.offered.get(), 5);
-        assert_eq!(m.templates_installed.get(), 2);
+        assert_eq!(m.accepted.get(), 3);
         s.offered = 9;
-        m.sync(&s, (2, 1, 0));
+        m.sync(&s);
         assert_eq!(m.offered.get(), 9);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("transport_offered_total"), Some(9));
-        assert_eq!(
-            snap.counter("transport_templates_total{event=\"installed\"}"),
-            Some(2)
-        );
+        assert_eq!(snap.counter("transport_accepted_total"), Some(3));
     }
 }

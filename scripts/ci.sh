@@ -13,8 +13,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every member crate's unit and property tests, not just the root
+# package's integration suites.
+cargo test -q --workspace
 
 echo "==> cargo test -q --test fault_tolerance (degraded-mode acceptance)"
 cargo test -q --test fault_tolerance
@@ -35,12 +37,11 @@ fi
 echo "ci: chaos soak took ${soak_elapsed}s (budget 120s)"
 
 echo "==> cargo test -q --test transport_soak (wire-transport chaos gate)"
-# The transport soak drives the reference week plus a NetFlow v5/v9/IPFIX
-# flow workload through the UDP-grade intake under 5 % loss, duplication,
-# reordering, truncation, and template churn — with a mid-stream kill
-# and resume of both the supervisor and the transport state. Gates:
-# byte-identical recovery, exact extended conservation (including
-# template-missing drops), and the < 2 % Table-1 drift bar.
+# The transport soak drives the reference week's sFlow plus stray garbage
+# packets through the UDP-grade intake under 5 % loss, duplication,
+# reordering, and truncation — with a mid-stream kill and resume of both
+# the supervisor and the transport state. Gates: byte-identical
+# recovery, exact extended conservation, and the < 2 % Table-1 drift bar.
 tsoak_started=$(date +%s)
 cargo test -q --test transport_soak
 tsoak_elapsed=$(( $(date +%s) - tsoak_started ))
@@ -170,10 +171,12 @@ cmp target/ckpt-whole.bin target/ckpt-resumed.bin || {
 }
 
 echo "==> transport smoke test (wire front-end determinism + metrics)"
-# Two same-seed supervised runs fed through the in-memory wire transport
-# (seeded loss, duplication, reordering, and template churn) must export
-# byte-identical metrics snapshots carrying the transport_* families,
-# and must end with the extended accounting invariant holding.
+# Two same-seed supervised runs fed through the in-memory link and the
+# transport intake must export byte-identical metrics snapshots carrying
+# the transport_* families, must end with the accounting invariant
+# holding, and must print the same Table 1 line as the supervised run
+# without a transport: it is the same fault-free datagrams in the same
+# order.
 cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
     --transport memory --metrics target/metrics-transport-a.json \
     > target/transport-mem-a.log 2>&1
@@ -190,59 +193,42 @@ grep -q "transport accounting invariant.*: holds" target/transport-mem-a.log || 
 }
 for family in transport_offered_total transport_received_total \
               transport_accepted_total transport_shed_total \
-              transport_decode_errors_total \
-              transport_template_missing_dropped_total \
-              transport_templates_total transport_flow_records_total \
-              transport_pending_packets; do
+              transport_decode_errors_total; do
     grep -q "$family" target/metrics-transport-a.json || {
         echo "ci: metric family $family missing from the transport snapshot" >&2
         exit 1
     }
 done
+cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+    --transport none --checkpoint target/ckpt-transport-none.bin \
+    --metrics target/metrics-transport-none.json > target/transport-none.log 2>&1
+mem_t1=$(grep "Table 1:" target/transport-mem-a.log)
+none_t1=$(grep "Table 1:" target/transport-none.log)
+if [ -z "$mem_t1" ] || [ "$mem_t1" != "$none_t1" ]; then
+    echo "ci: --transport memory Table 1 ($mem_t1) differs from --transport none ($none_t1)" >&2
+    exit 1
+fi
 
-echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
-# When this environment allows loopback UDP, exercise the real socket
-# path: flowgen replays a seeded flow workload with template churn at a
-# repro receiver, which must finish with the accounting invariant
-# holding. Where sockets are denied, the deterministic in-memory smoke
-# above already covered the same decode and accounting code — log the
+echo "==> repro --transport udp loopback smoke (UDP when permitted)"
+# The same week through an in-process loopback UDP socket pair. Exit 42
+# means the environment denied the bind: the in-memory smoke above
+# already covered the same intake and accounting code, so log the
 # reason and move on rather than failing on sandbox policy.
-if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
-        2> target/flowgen-probe.log; then
-    : > target/transport-udp.log
-    cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-        --transport udp --listen 127.0.0.1:0 \
-        > target/transport-udp.log 2>&1 &
-    repro_pid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's/^transport: listening on //p' target/transport-udp.log | head -n 1)
-        [ -n "$addr" ] && break
-        sleep 0.2
-    done
-    if [ -z "$addr" ]; then
-        kill "$repro_pid" 2>/dev/null || true
-        echo "ci: repro --transport udp never reported its listening address" >&2
-        exit 1
-    fi
-    cargo run -q --release -p ixp-bench --bin flowgen -- --target "$addr" \
-        --packets 300 --withhold 1:40 --flap 1:30 --restarts 1 \
-        >> target/transport-udp.log 2>&1 || {
-        kill "$repro_pid" 2>/dev/null || true
-        echo "ci: flowgen failed against $addr (see target/transport-udp.log)" >&2
-        exit 1
-    }
-    wait "$repro_pid" || {
-        echo "ci: repro --transport udp exited nonzero (see target/transport-udp.log)" >&2
-        exit 1
-    }
+udp_status=0
+cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+    --transport udp --metrics target/metrics-transport-udp.json \
+    > target/transport-udp.log 2>&1 || udp_status=$?
+if [ "$udp_status" -eq 42 ]; then
+    echo "ci: UDP loopback denied here ($(grep '^transport:' target/transport-udp.log | head -n 1)); in-memory transport smoke stands in"
+elif [ "$udp_status" -ne 0 ]; then
+    echo "ci: repro --transport udp exited $udp_status (see target/transport-udp.log)" >&2
+    exit 1
+else
     grep -q "transport accounting invariant.*: holds" target/transport-udp.log || {
         echo "ci: UDP-mode transport accounting invariant violated (see target/transport-udp.log)" >&2
         exit 1
     }
-    echo "ci: UDP loopback smoke passed ($addr)"
-else
-    echo "ci: UDP loopback denied here ($(cat target/flowgen-probe.log)); in-memory transport smoke stands in"
+    echo "ci: UDP loopback smoke passed"
 fi
 
 echo "==> obsd exposition smoke (loopback HTTP when permitted)"

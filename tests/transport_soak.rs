@@ -1,31 +1,29 @@
-//! Transport chaos-soak acceptance gate: the wire front-end must survive
-//! combined UDP-level faults (5 % loss, duplication, reordering,
-//! truncation), template churn (withhold windows, layout flaps, exporter
-//! restarts), and a mid-stream kill-and-resume of both the transport
-//! intake and the supervisor — with byte-identical recovery, exact
-//! extended conservation, and Table 1 drift under 2 %.
+//! Transport chaos-soak acceptance gate: the sFlow-over-UDP front door
+//! must survive combined UDP-level faults (5 % loss, duplication,
+//! reordering, truncation), stray non-sFlow packets, and a mid-stream
+//! kill-and-resume of both the transport intake and the supervisor —
+//! with byte-identical recovery, exact extended conservation, and
+//! Table 1 drift under 2 %.
 
 use std::sync::OnceLock;
 
 use ixp_vantage::core::analyzer::{Analyzer, WeeklyReport};
 use ixp_vantage::core::{visibility, WeekScan};
-use ixp_vantage::faults::{WireFaultConfig, WirePlan};
+use ixp_vantage::faults::{self, FaultConfig, FaultPlan};
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_vantage::obs::Obs;
 use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
 use ixp_vantage::transport::{
-    generate, Drained, FlowGenConfig, TransportConfig, TransportIntake, TransportMetrics,
-    TransportStats,
+    Drained, TransportConfig, TransportIntake, TransportMetrics, TransportStats,
 };
-use ixp_vantage::{faults, transport};
 
 const SEED: u64 = 1313;
 
-/// Peer identity the sFlow week feed uses at the transport front door.
+/// Peer identity the week feed uses at the transport front door.
 const SFLOW_PEER: u64 = 0x5F10;
 
-/// Flow-export packets mixed into the week feed.
-const FLOW_PACKETS: u64 = 400;
+/// Stray non-sFlow packets mixed into the week feed.
+const GARBAGE_PACKETS: usize = 6;
 
 fn model() -> &'static InternetModel {
     static M: OnceLock<InternetModel> = OnceLock::new();
@@ -47,77 +45,41 @@ fn members() -> u32 {
     model().registry.members_at(Week::REFERENCE).len() as u32
 }
 
-/// The flow-export half of the workload: NetFlow v5/v9/IPFIX with
-/// seeded withhold/flap windows and exporter restarts — a withhold
-/// window at the very start so the first templated packets must park —
-/// plus a small *orphan* workload from exporters (remapped to their own
-/// peer identities) whose templates are withheld for the whole stream:
-/// their packets can never resolve, so `finish` must flush them into
-/// `template_missing_dropped` — the soak asserts that bucket moves.
-/// A few leading-0xFF garbage packets keep the decode-error path hot.
-fn flow_workload() -> Vec<(u64, Vec<u8>)> {
-    let mut withhold = faults::withhold_windows(SEED, FLOW_PACKETS, 2, 50);
-    withhold.insert(0, (0, 20));
-    let cfg = FlowGenConfig {
-        seed: SEED,
-        packets: FLOW_PACKETS,
-        withhold,
-        flap: faults::flap_windows(SEED, FLOW_PACKETS, 1, 30),
-        restarts: faults::exporter_restart_offsets(SEED, FLOW_PACKETS, 2),
-        ..FlowGenConfig::default()
-    };
-    let mut out = generate(&cfg);
-    let orphans = FlowGenConfig {
-        seed: SEED ^ 0x0DD,
-        packets: 24,
-        exporters: 2, // v9 and IPFIX only — both templated
-        withhold: vec![(0, 24)],
-        ..FlowGenConfig::default()
-    };
-    // Remap the orphans onto distinct peers: the template cache keys
-    // domains by (peer, odid), so the main exporters' templates can
-    // never adopt these packets.
-    out.extend(generate(&orphans).into_iter().map(|(peer, p)| (peer + 0x0DD0_0000, p)));
-    for i in 0..6u8 {
-        out.push((0x6A4Bu64, vec![0xFF; 9 + usize::from(i)]));
-    }
-    out
-}
-
-/// The combined workload, before wire faults: the reference week's sFlow
-/// datagrams with flow-export packets interleaved at a fixed stride.
-fn workload() -> &'static Vec<(u64, Vec<u8>)> {
-    static W: OnceLock<Vec<(u64, Vec<u8>)>> = OnceLock::new();
+/// The workload, before wire faults: the reference week's sFlow
+/// datagrams with six leading-0xFF garbage packets spread evenly through
+/// it, so the version gate's decode-error path stays hot.
+fn workload() -> &'static Vec<Vec<u8>> {
+    static W: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     W.get_or_init(|| {
-        let sflow: Vec<(u64, Vec<u8>)> =
-            analyzer().feed(Week::REFERENCE).map(|d| (SFLOW_PEER, d)).collect();
-        let mut flows = flow_workload().into_iter();
-        let stride = (sflow.len() / usize::try_from(FLOW_PACKETS).unwrap_or(1)).max(1);
-        let mut out = Vec::with_capacity(sflow.len() + FLOW_PACKETS as usize);
+        let sflow: Vec<Vec<u8>> = analyzer().feed(Week::REFERENCE).collect();
+        let stride = (sflow.len() / GARBAGE_PACKETS).max(1);
+        let mut out = Vec::with_capacity(sflow.len() + GARBAGE_PACKETS);
+        let mut garbage = (0..GARBAGE_PACKETS).map(|i| vec![0xFF; 9 + i]);
         for (i, dg) in sflow.into_iter().enumerate() {
             out.push(dg);
             if (i + 1) % stride == 0 {
-                out.extend(flows.next());
+                out.extend(garbage.next());
             }
         }
-        out.extend(flows);
+        out.extend(garbage);
         out
     })
 }
 
 /// The faulted stream, materialized once so every arm sees identical
 /// bytes: 5 % loss plus duplication, reordering, and truncation.
-fn faulted() -> &'static Vec<(u64, Vec<u8>)> {
-    static F: OnceLock<Vec<(u64, Vec<u8>)>> = OnceLock::new();
+fn faulted() -> &'static Vec<Vec<u8>> {
+    static F: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     F.get_or_init(|| {
-        let wire = WireFaultConfig {
+        let wire = FaultConfig {
             seed: SEED,
             drop: 0.05,
             duplicate: 0.01,
             reorder: 0.01,
             truncate: 0.002,
+            ..FaultConfig::default()
         };
-        WirePlan::new(workload().iter().cloned(), wire).collect()
+        FaultPlan::new(workload().iter().cloned(), wire).collect()
     })
 }
 
@@ -156,7 +118,7 @@ fn run(kill_at: Option<usize>) -> Outcome {
     let mut intake = TransportIntake::new(TransportConfig::default());
     intake.bind_metrics(TransportMetrics::register(&obs.registry));
 
-    for (i, (peer, packet)) in stream.iter().enumerate() {
+    for (i, packet) in stream.iter().enumerate() {
         if kill_at == Some(i) {
             let sup_ck = sup.checkpoint();
             let t_ck = intake.save_state();
@@ -166,11 +128,9 @@ fn run(kill_at: Option<usize>) -> Outcome {
             intake = TransportIntake::restore_from(&t_ck).expect("restore own transport state");
             intake.bind_metrics(TransportMetrics::register(&obs.registry));
         }
-        intake.offer(*peer, packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
-                sup.offer(datagram);
-            }
+        intake.offer(SFLOW_PEER, packet);
+        for Drained::Sflow { datagram, .. } in intake.drain(usize::MAX) {
+            sup.offer(datagram);
         }
     }
     sup.finish();
@@ -194,24 +154,19 @@ fn soak_holds_conservation_and_drift_under_combined_chaos() {
     let outcome = run(None);
     let s = outcome.stats;
 
-    // The chaos actually happened: templates were withheld past the end,
-    // flow packets were duplicated on the wire, and decoders saw damage.
-    assert!(s.template_missing_dropped > 0, "no template-missing drops: {s:?}");
-    assert!(s.duplicates > 0, "no duplicates suppressed: {s:?}");
-    assert!(s.decode_errors > 0, "no decode errors: {s:?}");
-    assert!(s.v5_packets > 0 && s.v9_packets > 0 && s.ipfix_packets > 0, "{s:?}");
+    // The chaos actually happened: garbage reached the version gate, and
+    // the collector behind it saw wire duplicates and sequence gaps.
+    assert!(s.bad_version > 0, "no garbage reached the version gate: {s:?}");
+    let health = &outcome.report.health;
+    assert!(health.collector.duplicates > 0, "no duplicates suppressed: {health:?}");
+    assert!(health.loss_pct() > 0.0, "no loss measured: {health:?}");
 
     // Exact extended conservation, with no transient terms after finish.
     assert!(outcome.fully_accounted, "{s:?}");
     assert_eq!(s.offered, faulted().len() as u64);
     assert_eq!(s.offered, s.received + s.shed);
-    assert_eq!(
-        s.received,
-        s.accepted + s.duplicates + s.decode_errors + s.template_missing_dropped
-    );
-    assert_eq!(s.decode_errors, s.truncated + s.bad_version + s.inconsistent);
-    assert_eq!(s.pending, 0);
-    assert_eq!(s.pending_bytes, 0);
+    assert_eq!(s.received, s.sflow_datagrams + s.decode_errors);
+    assert_eq!(s.decode_errors, s.truncated + s.bad_version);
 
     // Table 1 stays within the chaos drift tolerance.
     let clean_t1 = visibility::table1(&clean().snapshot);
@@ -229,8 +184,8 @@ fn soak_holds_conservation_and_drift_under_combined_chaos() {
 #[test]
 fn kill_and_resume_mid_stream_is_byte_identical() {
     let whole = run(None);
-    // Die halfway through, inside the live part of the stream, where
-    // dedup windows, the template cache, and parked packets are all hot.
+    // Die halfway through, inside the live part of the stream, where the
+    // supervisor ring and the collector's sequence state are hot.
     let resumed = run(Some(faulted().len() / 2));
     assert_eq!(
         whole.sup_checkpoint, resumed.sup_checkpoint,
@@ -264,8 +219,8 @@ fn overload_sheds_visibly_never_silently() {
         inbox_capacity: 16,
         ..TransportConfig::default()
     });
-    for (i, (peer, packet)) in flow_workload().iter().enumerate() {
-        intake.offer(*peer, packet);
+    for (i, packet) in workload().iter().enumerate() {
+        intake.offer(SFLOW_PEER, packet);
         if i % 8 == 7 {
             intake.drain(2);
         }
@@ -279,7 +234,7 @@ fn overload_sheds_visibly_never_silently() {
 
 /// A mid-stream kill of the transport front-end leaves a flight dump
 /// whose tail names the cut, and whose body carries the transport-side
-/// journal traffic (template churn, parking, replay, sheds) that explains
+/// journal traffic (sheds from a deliberately small inbox) that explains
 /// what the intake was doing when it died. Damaged dumps are rejected
 /// with a typed error.
 #[test]
@@ -291,21 +246,21 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     let journal = ixp_vantage::obs::Journal::deterministic();
     let mut sup = Supervisor::new(WeekScan::new(Week::REFERENCE, members()), config());
     sup.bind_journal(journal.clone());
-    let mut intake = TransportIntake::new(TransportConfig::default());
+    // A 16-packet inbox drained 8 at a time every 24 offers: the front
+    // door sheds steadily, right up to the cut.
+    let mut intake = TransportIntake::new(TransportConfig { inbox_capacity: 16 });
     intake.bind_journal(journal.clone());
 
-    for (peer, packet) in stream.iter().take(kill_at) {
-        intake.offer(*peer, packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
+    for (i, packet) in stream.iter().take(kill_at).enumerate() {
+        intake.offer(SFLOW_PEER, packet);
+        if i % 24 == 23 {
+            for Drained::Sflow { datagram, .. } in intake.drain(8) {
                 sup.offer(datagram);
             }
         }
     }
     // As the repro binary's transport kill path (`sub_agent` 1 marks the
-    // transport side), then the dump to `<state>.flight`. The whole ring
-    // goes into the dump here so the early template churn — parked during
-    // the opening withhold window — is retained alongside the kill edge.
+    // transport side), then the dump to `<state>.flight`.
     journal.record(EventKind::Kill, 0, 1, kill_at as u64, sup.stats().ticks);
     let dir = std::env::temp_dir().join(format!("ixp-transport-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -320,10 +275,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     assert_eq!(tail.sub_agent, 1, "kill edge must name the transport side");
     assert_eq!(tail.a, kill_at as u64, "flight tail must name the cut offset");
     assert!(
-        events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::TemplateInstall | EventKind::Park | EventKind::Replay | EventKind::Shed
-        )),
+        events.iter().any(|e| e.kind == EventKind::Shed && e.agent == SFLOW_PEER),
         "flight dump carries no transport-side context: {events:?}"
     );
 
@@ -350,9 +302,9 @@ fn damaged_transport_state_fails_closed() {
         TransportIntake::restore_from(&truncated).is_err(),
         "truncated transport state restored"
     );
-    // And the stream's FIN sentinel is never a valid packet.
+    // And a stray garbage packet never passes the version gate.
     let mut t = TransportIntake::new(TransportConfig::default());
-    t.offer(1, transport::FIN);
-    t.drain(1);
-    assert_eq!(t.stats().decode_errors + t.stats().shed, 1);
+    t.offer(1, &[0xFF; 9]);
+    assert!(t.drain(1).is_empty());
+    assert_eq!((t.stats().decode_errors, t.stats().sflow_datagrams), (1, 0));
 }
