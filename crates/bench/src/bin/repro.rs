@@ -971,7 +971,8 @@ fn e19_fig6c(
         f.over_5_orgs, f.over_10_orgs
     );
     let mut pts = f.points.clone();
-    pts.sort_by_key(|(_, _, orgs)| std::cmp::Reverse(*orgs));
+    // Ties broken by AS, so the top rows do not depend on hash order.
+    pts.sort_by_key(|(as_idx, _, orgs)| (std::cmp::Reverse(*orgs), *as_idx));
     for (as_idx, ips, orgs) in pts.iter().take(8) {
         let _ = writeln!(
             body,
@@ -1051,7 +1052,10 @@ fn e23_blindspots(
         "  resolver campaign over {} uncovered domains: {} server IPs found, {} already seen at the IXP, {} unseen (paper: 600K found, 360K seen, 240K unseen)",
         campaign.domains_queried, campaign.found, campaign.already_seen, campaign.unseen_total()
     );
-    let _ = writeln!(body, "  unseen breakdown: {:?}", campaign.unseen);
+    let mut unseen: Vec<String> =
+        campaign.unseen.iter().map(|(reason, n)| format!("{reason:?}: {n}")).collect();
+    unseen.sort();
+    let _ = writeln!(body, "  unseen breakdown: {{{}}}", unseen.join(", "));
     let _ = writeln!(
         body,
         "  private clusters + far-away: {:.1} % of unseen (paper: > 40 %)",

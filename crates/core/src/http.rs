@@ -13,100 +13,114 @@
 //! `Host:` header implicates the destination; a status line or `Server:`
 //! header implicates the source.
 
-/// What the matcher found in one payload snippet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpEvidence {
+/// What the matcher found in one payload snippet. The Host value borrows
+/// the snippet's bytes, so classifying a request allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HttpEvidence<'a> {
     /// Nothing HTTP-like.
     None,
     /// A request: the destination is a server. The Host value, if it was
     /// recoverable from the snippet, identifies the URI authority.
     Request {
         /// Value of the `Host:` header, when present in the snippet.
-        host: Option<String>,
+        host: Option<&'a str>,
     },
     /// A response: the source is a server.
     Response,
     /// Header fields only, implicating the destination (request headers).
     RequestHeaders {
         /// Value of the `Host:` header, when present.
-        host: Option<String>,
+        host: Option<&'a str>,
     },
     /// Header fields only, implicating the source (response headers).
     ResponseHeaders,
 }
 
-const METHODS: [&str; 7] = ["GET ", "HEAD ", "POST ", "PUT ", "DELETE ", "OPTIONS ", "CONNECT "];
+const METHODS: [&[u8]; 7] =
+    [b"GET ", b"HEAD ", b"POST ", b"PUT ", b"DELETE ", b"OPTIONS ", b"CONNECT "];
 
-const REQUEST_HEADERS: [&str; 5] =
-    ["Host: ", "User-Agent: ", "Accept: ", "Referer: ", "Cookie: "];
+/// The protocol tag: a status line starts with it, a request line must
+/// carry it somewhere in the snippet.
+const HTTP_TAG: &[u8] = b"HTTP/1.";
 
-const RESPONSE_HEADERS: [&str; 5] = [
-    "Server: ",
-    "Content-Type: ",
-    "Access-Control-Allow-Methods: ",
-    "Set-Cookie: ",
-    "Content-Length: ",
-];
+const HOST: &[u8] = b"Host: ";
 
-/// Scan one payload snippet.
-pub fn classify(payload: &[u8]) -> HttpEvidence {
+/// Scan one payload snippet in a single pass.
+///
+/// Verdicts, in precedence order: a request method at the start plus the
+/// protocol tag anywhere (the tag may be cut off for very long request
+/// targets; then the headers decide); a status line at the start; any
+/// response header anywhere; any request header anywhere. Every position
+/// dispatches on its first byte to the few needles that start with it.
+pub fn classify(payload: &[u8]) -> HttpEvidence<'_> {
     if payload.len() < 4 {
         return HttpEvidence::None;
     }
-    // Work on the lossless ASCII view; HTTP headers are ASCII.
-    // Pattern 1a: request line at the start of the payload.
-    if let Some(method_len) = METHODS
-        .iter()
-        .find(|m| payload.starts_with(m.as_bytes()))
-        .map(|m| m.len())
-    {
-        // Require the protocol tag somewhere in the snippet (it may be cut
-        // off for very long request targets; then fall through to headers).
-        if find(payload, b"HTTP/1.").is_some() {
-            let _ = method_len;
-            return HttpEvidence::Request { host: extract_host(payload) };
-        }
-    }
-    // Pattern 1b: status line.
-    if payload.starts_with(b"HTTP/1.") {
+    if payload.starts_with(HTTP_TAG) {
         return HttpEvidence::Response;
     }
-    // Pattern 2: header fields anywhere.
-    let has_request_header = REQUEST_HEADERS.iter().any(|h| find(payload, h.as_bytes()).is_some());
-    let has_response_header =
-        RESPONSE_HEADERS.iter().any(|h| find(payload, h.as_bytes()).is_some());
-    match (has_request_header, has_response_header) {
-        (_, true) => HttpEvidence::ResponseHeaders,
-        (true, false) => HttpEvidence::RequestHeaders { host: extract_host(payload) },
-        (false, false) => HttpEvidence::None,
+    let is_method = METHODS.iter().any(|m| payload.starts_with(m));
+    let mut has_tag = false;
+    let mut has_request_header = false;
+    let mut has_response_header = false;
+    // The snippet from the first `Host: ` on.
+    let mut host_at: Option<&[u8]> = None;
+    let mut rest = payload;
+    while let Some((&first, tail)) = rest.split_first() {
+        match first {
+            b'H' => {
+                if rest.starts_with(HTTP_TAG) {
+                    has_tag = true;
+                } else if rest.starts_with(HOST) {
+                    has_request_header = true;
+                    host_at.get_or_insert(rest);
+                }
+            }
+            b'U' => has_request_header |= rest.starts_with(b"User-Agent: "),
+            b'A' => {
+                has_request_header |= rest.starts_with(b"Accept: ");
+                has_response_header |= rest.starts_with(b"Access-Control-Allow-Methods: ");
+            }
+            b'R' => has_request_header |= rest.starts_with(b"Referer: "),
+            b'C' => {
+                has_request_header |= rest.starts_with(b"Cookie: ");
+                has_response_header |=
+                    rest.starts_with(b"Content-Type: ") || rest.starts_with(b"Content-Length: ");
+            }
+            b'S' => {
+                has_response_header |=
+                    rest.starts_with(b"Server: ") || rest.starts_with(b"Set-Cookie: ");
+            }
+            _ => {}
+        }
+        rest = tail;
+    }
+    let host = || host_at.and_then(host_value);
+    if is_method && has_tag {
+        HttpEvidence::Request { host: host() }
+    } else if has_response_header {
+        HttpEvidence::ResponseHeaders
+    } else if has_request_header {
+        HttpEvidence::RequestHeaders { host: host() }
+    } else {
+        HttpEvidence::None
     }
 }
 
-/// Extract the Host header value if it fits the snippet.
-fn extract_host(payload: &[u8]) -> Option<String> {
-    let start = find(payload, b"Host: ")? + 6;
-    let rest = &payload[start..];
-    let end = rest.iter().position(|b| *b == b'\r' || *b == b'\n')?;
-    let value = &rest[..end];
+/// The Host value of a `Host: ` header line if the whole line fits the
+/// snippet and is a plausible authority, with any explicit port stripped.
+fn host_value(line: &[u8]) -> Option<&str> {
+    let value = line.strip_prefix(HOST)?;
+    let end = value.iter().position(|b| *b == b'\r' || *b == b'\n')?;
+    let value = value.get(..end)?;
     if value.is_empty() || value.len() > 253 {
         return None;
     }
-    let s = std::str::from_utf8(value).ok()?;
-    if s.chars().all(|c| c.is_ascii_alphanumeric() || ".-:".contains(c)) {
-        // Strip an explicit port.
-        Some(s.split(':').next().unwrap().to_string())
-    } else {
-        None
-    }
-}
-
-/// Naive subsequence search (snippets are ≤ 128 bytes; this beats fancier
-/// algorithms at this size).
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
+    if !value.iter().all(|b| b.is_ascii_alphanumeric() || b".-:".contains(b)) {
         return None;
     }
-    haystack.windows(needle.len()).position(|w| w == needle)
+    let name = value.split(|b| *b == b':').next()?;
+    std::str::from_utf8(name).ok()
 }
 
 #[cfg(test)]
@@ -118,7 +132,7 @@ mod tests {
         let p = b"GET /index.html HTTP/1.1\r\nHost: www.foo.example\r\nAccept: */*\r\n\r\n";
         match classify(p) {
             HttpEvidence::Request { host } => {
-                assert_eq!(host.as_deref(), Some("www.foo.example"));
+                assert_eq!(host, Some("www.foo.example"));
             }
             other => panic!("{other:?}"),
         }
@@ -135,7 +149,7 @@ mod tests {
         let req = b"sdfsd\r\nHost: a.b.example\r\nCookie: x=1\r\n";
         match classify(req) {
             HttpEvidence::RequestHeaders { host } => {
-                assert_eq!(host.as_deref(), Some("a.b.example"));
+                assert_eq!(host, Some("a.b.example"));
             }
             other => panic!("{other:?}"),
         }
@@ -164,7 +178,7 @@ mod tests {
     fn host_with_port_is_stripped() {
         let p = b"GET / HTTP/1.1\r\nHost: foo.example:8080\r\n";
         match classify(p) {
-            HttpEvidence::Request { host } => assert_eq!(host.as_deref(), Some("foo.example")),
+            HttpEvidence::Request { host } => assert_eq!(host, Some("foo.example")),
             other => panic!("{other:?}"),
         }
     }

@@ -6,7 +6,9 @@
 //! role evidence from HTTP string matching, service-port bitmaps, URI
 //! observations, and the member port seen on each IP's side of the fabric.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
 
 use ixp_netmodel::{MemberId, Week};
@@ -15,11 +17,13 @@ use ixp_sflow::checkpoint::{self, Cur, StateError};
 use ixp_sflow::collector::{Collector, CollectorStats, Ingest};
 use ixp_sflow::{DecodeErrorCounts, TrafficEstimate};
 use ixp_wire::dissect::{Dissection, Network, Transport};
-use ixp_wire::{DissectMetrics, EthernetAddress};
+use ixp_wire::{ipv4, DissectMetrics, EthernetAddress};
 
 use crate::http::{self, HttpEvidence};
 
-/// Filtering-cascade categories (paper Fig. 1).
+/// Filtering-cascade categories (paper Fig. 1). The discriminant is the
+/// category's position in [`Category::ALL`], which indexes
+/// [`FilterReport`] and orders the checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Native IPv6.
@@ -49,23 +53,18 @@ impl Category {
         Category::PeeringTcp,
         Category::PeeringUdp,
     ];
-
-    /// Is this one of the two peering categories?
-    pub fn is_peering(&self) -> bool {
-        matches!(self, Category::PeeringTcp | Category::PeeringUdp)
-    }
 }
 
-/// Traffic totals per cascade category.
+/// Traffic totals per cascade category, indexed by [`Category`].
 #[derive(Debug, Clone, Default)]
 pub struct FilterReport {
-    totals: HashMap<Category, TrafficEstimate>,
+    totals: [TrafficEstimate; Category::ALL.len()],
 }
 
 impl FilterReport {
     /// Estimate for one category.
     pub fn get(&self, cat: Category) -> TrafficEstimate {
-        self.totals.get(&cat).copied().unwrap_or_default()
+        self.totals.get(cat as usize).copied().unwrap_or_default()
     }
 
     /// Total across all categories.
@@ -84,7 +83,9 @@ impl FilterReport {
     }
 
     fn add(&mut self, cat: Category, rate: u32, frame_len: u32) {
-        self.totals.entry(cat).or_default().add_raw(rate, frame_len);
+        if let Some(e) = self.totals.get_mut(cat as usize) {
+            e.add_raw(rate, frame_len);
+        }
     }
 }
 
@@ -142,6 +143,79 @@ pub struct IpStats {
 }
 
 const MAX_URIS_PER_IP: usize = 8;
+
+/// The per-IP table of a [`WeekScan`].
+pub type IpTable = HashMap<u32, IpStats, IpHashState>;
+
+/// The hasher of [`IpTable`]: one 64×64→128-bit multiply of the key under
+/// two secret per-table keys, folded by xor to 64 bits. The keys are IPs
+/// from sampled traffic, which outsiders choose, so a fixed-constant hash
+/// would let them flood one bucket chain; secret keys drawn from the
+/// standard library's `RandomState` keep the table flood-resistant at a
+/// fraction of SipHash's cost on a 4-byte key. Iteration order differs
+/// between tables, so everything that leaves the scan is order-free or
+/// sorted (see [`WeekScan::save_state`]).
+#[derive(Clone)]
+pub struct IpHashState {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for IpHashState {
+    fn default() -> IpHashState {
+        let seed = RandomState::new();
+        IpHashState {
+            k0: seed.hash_one(0u64),
+            // Odd, so the multiply never zeroes the key.
+            k1: seed.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl std::fmt::Debug for IpHashState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IpHashState").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for IpHashState {
+    type Hasher = IpHasher;
+
+    fn build_hasher(&self) -> IpHasher {
+        IpHasher { k1: self.k1, hash: self.k0 }
+    }
+}
+
+/// The per-key state of [`IpHashState`].
+#[derive(Debug, Clone)]
+pub struct IpHasher {
+    k1: u64,
+    hash: u64,
+}
+
+impl IpHasher {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word) * u128::from(self.k1);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for IpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // IP keys take `write_u32`; anything else mixes byte by byte.
+        for b in bytes {
+            self.mix(u64::from(*b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// A tiny string interner for URI authorities.
 #[derive(Debug, Default)]
@@ -346,7 +420,7 @@ pub struct WeekScan {
     /// Cascade totals.
     pub filter: FilterReport,
     /// Per-IP statistics (peering traffic endpoints only).
-    pub ips: HashMap<u32, IpStats>,
+    pub ips: IpTable,
     /// Interned URI authorities.
     pub domains: DomainTable,
     /// Samples that could not be dissected at all.
@@ -374,7 +448,7 @@ impl WeekScan {
         WeekScan {
             week,
             filter: FilterReport::default(),
-            ips: HashMap::new(),
+            ips: IpTable::default(),
             domains: DomainTable::default(),
             undissectable: 0,
             collector: Collector::new(),
@@ -424,25 +498,22 @@ impl WeekScan {
                 return;
             }
         };
-        let category = self.categorize(&d);
-        self.filter.add(category, rate, frame_len);
-        if !category.is_peering() {
-            return;
-        }
-        let (repr, transport, payload) = match &d.network {
-            Network::Ipv4 { repr, transport, payload } => (repr, transport, payload),
-            _ => unreachable!("peering implies IPv4"),
+        let peer = match self.categorize(&d) {
+            Cascade::Filtered(category) => {
+                self.filter.add(category, rate, frame_len);
+                return;
+            }
+            Cascade::Peering(peer) => peer,
         };
+        self.filter.add(peer.category(), rate, frame_len);
         let bytes = u64::from(rate) * u64::from(frame_len);
-        let src_member = member_of(d.src_mac).expect("peering implies member MACs");
-        let dst_member = member_of(d.dst_mac).expect("peering implies member MACs");
 
         // Role evidence.
-        let mut host: Option<String> = None;
+        let mut host: Option<&str> = None;
         let mut server_is_src = false;
         let mut server_is_dst = false;
-        if matches!(transport, Transport::Tcp { .. }) {
-            match http::classify(payload) {
+        if let PeerTransport::Tcp { .. } = peer.transport {
+            match http::classify(peer.payload) {
                 HttpEvidence::Request { host: h } | HttpEvidence::RequestHeaders { host: h } => {
                     server_is_dst = true;
                     host = h;
@@ -454,17 +525,17 @@ impl WeekScan {
             }
         }
 
-        let src = u32::from(repr.src_addr);
-        let dst = u32::from(repr.dst_addr);
+        let src = u32::from(peer.repr.src_addr);
+        let dst = u32::from(peer.repr.dst_addr);
         {
             let src_stats = self.ips.entry(src).or_default();
             src_stats.bytes += bytes;
             src_stats.samples += 1;
-            src_stats.member = src_member;
+            src_stats.member = peer.src_member;
             if server_is_src {
                 src_stats.evidence.set(Evidence::HTTP_SERVER);
-                if let Transport::Tcp { src_port, .. } = transport {
-                    set_port_bit(&mut src_stats.evidence, *src_port);
+                if let PeerTransport::Tcp { src_port, .. } = peer.transport {
+                    set_port_bit(&mut src_stats.evidence, src_port);
                 }
             } else if server_is_dst {
                 // Classified flow with the server on the other side.
@@ -475,14 +546,14 @@ impl WeekScan {
             let dst_stats = self.ips.entry(dst).or_default();
             dst_stats.bytes += bytes;
             dst_stats.samples += 1;
-            dst_stats.member = dst_member;
+            dst_stats.member = peer.dst_member;
             if server_is_dst {
                 dst_stats.evidence.set(Evidence::HTTP_SERVER);
-                if let Transport::Tcp { dst_port, .. } = transport {
-                    set_port_bit(&mut dst_stats.evidence, *dst_port);
+                if let PeerTransport::Tcp { dst_port, .. } = peer.transport {
+                    set_port_bit(&mut dst_stats.evidence, dst_port);
                 }
                 if let Some(h) = host {
-                    let id = self.domains.intern(&h);
+                    let id = self.domains.intern(h);
                     if dst_stats.uris.len() < MAX_URIS_PER_IP && !dst_stats.uris.contains(&id) {
                         dst_stats.uris.push(id);
                     }
@@ -490,44 +561,45 @@ impl WeekScan {
             } else if server_is_src {
                 dst_stats.evidence.set(Evidence::CLIENT);
             }
-            // HTTPS candidates: TLS-shaped bytes towards port 443.
-            if let Transport::Tcp { dst_port: 443, .. } = transport {
-                if matches!(payload.first(), Some(0x16) | Some(0x17)) {
+            if let PeerTransport::Tcp { dst_port, .. } = peer.transport {
+                // HTTPS candidates: TLS-shaped bytes towards port 443.
+                if dst_port == 443 && matches!(peer.payload.first(), Some(0x16) | Some(0x17)) {
                     dst_stats.evidence.set(Evidence::TLS443);
                     set_port_bit(&mut dst_stats.evidence, 443);
                 }
-            }
-            // RTMP activity (port-level evidence; no string matching).
-            if let Transport::Tcp { dst_port: 1935, .. } = transport {
-                if !payload.is_empty() {
+                // RTMP activity (port-level evidence; no string matching).
+                if dst_port == 1935 && !peer.payload.is_empty() {
                     set_port_bit(&mut dst_stats.evidence, 1935);
                 }
             }
         }
     }
 
-    fn categorize(&self, d: &Dissection<'_>) -> Category {
-        match &d.network {
-            Network::Ipv6 => Category::Ipv6,
+    /// Run one dissected sample through the filtering cascade. Peering
+    /// samples come back with the endpoints the per-IP upsert needs, so no
+    /// later step has to re-match the dissection.
+    fn categorize<'a>(&self, d: &Dissection<'a>) -> Cascade<'a> {
+        let (repr, transport, payload) = match &d.network {
+            Network::Ipv6 => return Cascade::Filtered(Category::Ipv6),
             Network::Arp | Network::OtherEtherType(_) | Network::MalformedIpv4(_) => {
-                Category::OtherL3
+                return Cascade::Filtered(Category::OtherL3)
             }
-            Network::Ipv4 { transport, .. } => {
-                let src_m = member_of(d.src_mac).filter(|m| m.0 < self.member_count);
-                let dst_m = member_of(d.dst_mac).filter(|m| m.0 < self.member_count);
-                match (src_m, dst_m) {
-                    (Some(a), Some(b)) if a != b => match transport {
-                        Transport::Icmp => Category::Icmp,
-                        Transport::Tcp { .. } => Category::PeeringTcp,
-                        Transport::Udp { .. } => Category::PeeringUdp,
-                        Transport::Other(_) | Transport::Truncated(_) => {
-                            Category::OtherTransport
-                        }
-                    },
-                    _ => Category::NonMemberOrLocal,
-                }
+            Network::Ipv4 { repr, transport, payload } => (*repr, transport, *payload),
+        };
+        let member = |mac| member_of(mac).filter(|m| m.0 < self.member_count);
+        let (src_member, dst_member) = match (member(d.src_mac), member(d.dst_mac)) {
+            (Some(a), Some(b)) if a != b => (a, b),
+            _ => return Cascade::Filtered(Category::NonMemberOrLocal),
+        };
+        let transport = match *transport {
+            Transport::Tcp { src_port, dst_port, .. } => PeerTransport::Tcp { src_port, dst_port },
+            Transport::Udp { .. } => PeerTransport::Udp,
+            Transport::Icmp => return Cascade::Filtered(Category::Icmp),
+            Transport::Other(_) | Transport::Truncated(_) => {
+                return Cascade::Filtered(Category::OtherTransport)
             }
-        }
+        };
+        Cascade::Peering(Peering { src_member, dst_member, repr, transport, payload })
     }
 
     /// Unique peering IPs seen.
@@ -638,16 +710,12 @@ impl WeekScan {
         let mut scan = WeekScan::new(week, member_count);
         scan.shed = cur.u64()?;
         scan.undissectable = cur.u64()?;
-        for cat in Category::ALL {
-            let samples = cur.u64()?;
-            let frames = cur.u64()?;
-            let bytes = cur.u64()?;
-            if samples > 0 || frames > 0 || bytes > 0 {
-                let e = scan.filter.totals.entry(cat).or_default();
-                e.samples = samples;
-                e.frames = frames;
-                e.bytes = bytes;
-            }
+        // Array order is `Category::ALL` order, the order `save_state`
+        // writes.
+        for e in scan.filter.totals.iter_mut() {
+            e.samples = cur.u64()?;
+            e.frames = cur.u64()?;
+            e.bytes = cur.u64()?;
         }
         let n_domains = cur.count(8)?;
         for id in 0..n_domains {
@@ -721,6 +789,39 @@ impl WeekScan {
     }
 }
 
+/// Where the filtering cascade put one dissected sample.
+enum Cascade<'a> {
+    /// Outside the peering view, counted under this category.
+    Filtered(Category),
+    /// Member-to-member IPv4 TCP or UDP.
+    Peering(Peering<'a>),
+}
+
+/// The endpoints of a peering sample.
+struct Peering<'a> {
+    src_member: MemberId,
+    dst_member: MemberId,
+    repr: ipv4::Repr,
+    transport: PeerTransport,
+    payload: &'a [u8],
+}
+
+impl Peering<'_> {
+    fn category(&self) -> Category {
+        match self.transport {
+            PeerTransport::Tcp { .. } => Category::PeeringTcp,
+            PeerTransport::Udp => Category::PeeringUdp,
+        }
+    }
+}
+
+/// The two transports the cascade keeps as peering traffic.
+#[derive(Clone, Copy)]
+enum PeerTransport {
+    Tcp { src_port: u16, dst_port: u16 },
+    Udp,
+}
+
 fn set_port_bit(e: &mut Evidence, port: u16) {
     match port {
         80 => e.set(Evidence::PORT_80),
@@ -751,8 +852,19 @@ mod tests {
 
     /// Build an Ethernet+IPv4+TCP frame between two member ports.
     fn tcp_frame(src_member: u32, dst_member: u32, payload: &[u8], dst_port: u16) -> Vec<u8> {
-        let src_ip = Ipv4Addr::new(100, 0, 0, 1);
-        let dst_ip = Ipv4Addr::new(100, 0, 1, 1);
+        let (src_ip, dst_ip) = (Ipv4Addr::new(100, 0, 0, 1), Ipv4Addr::new(100, 0, 1, 1));
+        tcp_frame_between(src_ip, dst_ip, src_member, dst_member, payload, dst_port)
+    }
+
+    /// Like [`tcp_frame`], between two given addresses.
+    fn tcp_frame_between(
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        src_member: u32,
+        dst_member: u32,
+        payload: &[u8],
+        dst_port: u16,
+    ) -> Vec<u8> {
         let tcp_len = tcp::HEADER_LEN + payload.len();
         let total = ethernet::HEADER_LEN + ipv4::HEADER_LEN + tcp_len;
         let mut buf = vec![0u8; total];
@@ -784,6 +896,46 @@ mod tests {
         .emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
         .unwrap();
         buf
+    }
+
+    #[test]
+    fn category_discriminants_are_cascade_positions() {
+        for (i, cat) in Category::ALL.iter().enumerate() {
+            assert_eq!(*cat as usize, i, "{cat:?} indexes the filter report out of order");
+        }
+    }
+
+    #[test]
+    fn ip_tables_are_keyed_per_scan() {
+        let (a, b) = (WeekScan::new(Week::REFERENCE, 10), WeekScan::new(Week::REFERENCE, 10));
+        let differs = (0..16u32).any(|ip| a.ips.hasher().hash_one(ip) != b.ips.hasher().hash_one(ip));
+        assert!(differs, "two scans hash every key alike: the IP table is not keyed");
+    }
+
+    #[test]
+    fn save_state_is_independent_of_ip_insertion_order() {
+        let frames: Vec<Vec<u8>> = (0..200u8)
+            .map(|i| {
+                let payload: &[u8] = match i % 3 {
+                    0 => b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\n",
+                    1 => &[0x16, 0x03, 0x03, 0x00, 0x10, 0x80],
+                    _ => &[0x80, 0x81, 0x82],
+                };
+                let port = if i % 3 == 1 { 443 } else { 80 };
+                let (src, dst) = (Ipv4Addr::new(10, 0, i, 1), Ipv4Addr::new(10, 1, i / 2, 1));
+                tcp_frame_between(src, dst, 1, 2, payload, port)
+            })
+            .collect();
+        let mut forward = WeekScan::new(Week::REFERENCE, 10);
+        for f in &frames {
+            forward.ingest_sample(16_384, f.len() as u32, f);
+        }
+        let mut backward = WeekScan::new(Week::REFERENCE, 10);
+        for f in frames.iter().rev() {
+            backward.ingest_sample(16_384, f.len() as u32, f);
+        }
+        assert_eq!(forward.unique_ips(), 300);
+        assert_eq!(forward.save_state(), backward.save_state());
     }
 
     #[test]

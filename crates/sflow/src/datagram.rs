@@ -14,9 +14,7 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use bytes::BufMut;
-
-use crate::xdr::{self, Reader};
+use crate::xdr::{self, Put, Reader};
 
 /// `header_protocol` value for Ethernet (ISO 8023) in raw-packet records.
 pub const HEADER_PROTO_ETHERNET: u32 = 1;
@@ -475,7 +473,7 @@ mod tests {
         let dg = sample_datagram();
         let mut bytes = Vec::new();
         {
-            use bytes::BufMut;
+            use crate::xdr::Put;
             bytes.put_u32(5);
             bytes.put_u32(1);
             bytes.put_slice(&[10, 0, 0, 1]);

@@ -1,9 +1,31 @@
 //! Minimal XDR-style (RFC 4506) primitives: big-endian u32-aligned encoding,
 //! which is what the sFlow v5 specification uses throughout.
 
-use bytes::BufMut;
-
 use crate::datagram::DecodeError;
+
+/// Big-endian appends onto an encode buffer, the XDR wire order.
+pub trait Put {
+    /// Append a big-endian u32.
+    fn put_u32(&mut self, v: u32);
+    /// Append a big-endian u64.
+    fn put_u64(&mut self, v: u64);
+    /// Append raw bytes.
+    fn put_slice(&mut self, src: &[u8]);
+}
+
+impl Put for Vec<u8> {
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
 
 /// Pad a byte length up to the next multiple of four. Saturates instead of
 /// wrapping for lengths within 3 of `usize::MAX` (which no real datagram
@@ -17,7 +39,7 @@ pub fn pad4(len: usize) -> usize {
 pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
     out.put_slice(data);
     let padding = pad4(data.len()) - data.len();
-    out.put_bytes(0, padding);
+    out.extend(std::iter::repeat_n(0, padding));
 }
 
 /// A forward-only reader over an XDR byte stream.
@@ -102,11 +124,13 @@ mod tests {
     #[test]
     fn u32_sequence() {
         let mut buf = Vec::new();
-        bytes::BufMut::put_u32(&mut buf, 5);
-        bytes::BufMut::put_u32(&mut buf, 0xdead_beef);
+        buf.put_u32(5);
+        buf.put_u64(0xdead_beef_0000_0001);
+        assert_eq!(buf, [0, 0, 0, 5, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u32().unwrap(), 5);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
+        assert_eq!(r.u32().unwrap(), 1);
         assert_eq!(r.u32().unwrap_err(), DecodeError::Truncated);
     }
 }

@@ -3,9 +3,10 @@
 #   build, test, and the ixp-lint invariant pass (no-panic decoder
 #   contract and friends; see crates/lint and DESIGN.md).
 #
-# Clippy runs only when the crates.io registry (or a cached index) is
-# reachable: the offline build environment resolves all external deps to
-# the vendor/ stand-ins and has no clippy driver for them.
+# Clippy runs last, whenever its driver is installed (it is, offline
+# too). It currently fails on pre-existing findings in ixp-wire,
+# ixp-netmodel, ixp-lint and ixp-faults, so a failure is reported loudly
+# but does not gate yet (ROADMAP item 4). IXP_CI_OFFLINE=1 skips it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -311,14 +312,15 @@ else
     echo "ci: obsd HTTP smoke passed ($obsd_addr)"
 fi
 
-if cargo clippy --version >/dev/null 2>&1 && [ -z "${IXP_CI_OFFLINE:-}" ]; then
+if [ -n "${IXP_CI_OFFLINE:-}" ]; then
+    echo "==> clippy skipped (IXP_CI_OFFLINE is set)"
+elif ! cargo clippy --version >/dev/null 2>&1; then
+    echo "==> clippy skipped: driver not installed"
+else
     echo "==> cargo clippy --workspace --all-targets"
     cargo clippy --workspace --all-targets -- -D warnings || {
-        echo "ci: clippy unavailable or failed in this environment; the" >&2
-        echo "ci: rustc + ixp-lint gates above are authoritative offline." >&2
+        echo "ci: clippy FAILED (not yet gating; ROADMAP item 4)" >&2
     }
-else
-    echo "==> clippy skipped (offline environment)"
 fi
 
 echo "ci: all gates passed"
