@@ -237,7 +237,7 @@ fn main() {
         let Some(MetricValue::Histogram(h)) = snap.get(&stage_metric(stage)) else {
             continue;
         };
-        let mean = if h.count == 0 { 0 } else { h.sum / h.count };
+        let mean = h.sum.checked_div(h.count).unwrap_or(0);
         // Only the scan stage has a meaningful per-item rate; the analysis
         // stages report spans/sec over their aggregate wall time.
         let rate = if *stage == "scan" {

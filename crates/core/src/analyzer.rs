@@ -251,6 +251,9 @@ mod tests {
     }
 
     #[test]
+    // Exact on purpose: zero loss computes to exactly 0.0 and no
+    // compensation to exactly 1.0, with no rounding in between.
+    #[allow(clippy::float_cmp)]
     fn clean_feed_reports_healthy_ingest() {
         let report = testutil::reference();
         let h = &report.health;

@@ -156,7 +156,7 @@ impl ServerCensus {
             let host_soa = match dns.soa_of_ip(ip) {
                 Ok(Some(ident)) => SoaOutcome::Identity(ident),
                 Ok(None) => SoaOutcome::None,
-                Err(()) => SoaOutcome::Timeout,
+                Err(ixp_dns::SoaTimeout) => SoaOutcome::Timeout,
             };
             // URI cleaning: drop syntactically invalid authorities.
             let uris: Vec<String> = stats

@@ -12,8 +12,8 @@ use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
 
 use ixp_netmodel::{MemberId, Week};
+use ixp_obs::codec::{self, CodecError, Cur};
 use ixp_obs::Obs;
-use ixp_sflow::checkpoint::{self, Cur, StateError};
 use ixp_sflow::collector::{Collector, CollectorStats, Ingest};
 use ixp_sflow::{DecodeErrorCounts, TrafficEstimate};
 use ixp_wire::dissect::{Dissection, Network, Transport};
@@ -657,37 +657,37 @@ impl WeekScan {
     /// states yield equal bytes.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
-        checkpoint::put_u8(&mut out, self.week.0);
-        checkpoint::put_u32(&mut out, self.member_count);
-        checkpoint::put_u64(&mut out, self.shed);
-        checkpoint::put_u64(&mut out, self.undissectable);
+        codec::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
+        codec::put_u8(&mut out, self.week.0);
+        codec::put_u32(&mut out, self.member_count);
+        codec::put_u64(&mut out, self.shed);
+        codec::put_u64(&mut out, self.undissectable);
         for cat in Category::ALL {
             let e = self.filter.get(cat);
-            checkpoint::put_u64(&mut out, e.samples);
-            checkpoint::put_u64(&mut out, e.frames);
-            checkpoint::put_u64(&mut out, e.bytes);
+            codec::put_u64(&mut out, e.samples);
+            codec::put_u64(&mut out, e.frames);
+            codec::put_u64(&mut out, e.bytes);
         }
-        checkpoint::put_u64(&mut out, self.domains.names.len() as u64);
+        codec::put_u64(&mut out, self.domains.names.len() as u64);
         for name in &self.domains.names {
-            checkpoint::put_str(&mut out, name);
+            codec::put_str(&mut out, name);
         }
         let mut ips: Vec<(&u32, &IpStats)> = self.ips.iter().collect();
         ips.sort_by_key(|(ip, _)| **ip);
-        checkpoint::put_u64(&mut out, ips.len() as u64);
+        codec::put_u64(&mut out, ips.len() as u64);
         for (ip, s) in ips {
-            checkpoint::put_u32(&mut out, *ip);
-            checkpoint::put_u64(&mut out, s.bytes);
-            checkpoint::put_u32(&mut out, s.samples);
-            checkpoint::put_u16(&mut out, s.evidence.0);
-            checkpoint::put_u32(&mut out, s.member.0);
-            checkpoint::put_u8(&mut out, s.uris.len().min(MAX_URIS_PER_IP) as u8);
+            codec::put_u32(&mut out, *ip);
+            codec::put_u64(&mut out, s.bytes);
+            codec::put_u32(&mut out, s.samples);
+            codec::put_u16(&mut out, s.evidence.0);
+            codec::put_u32(&mut out, s.member.0);
+            codec::put_u8(&mut out, s.uris.len().min(MAX_URIS_PER_IP) as u8);
             for id in s.uris.iter().take(MAX_URIS_PER_IP) {
-                checkpoint::put_u32(&mut out, *id);
+                codec::put_u32(&mut out, *id);
             }
         }
         for f in self.tally.fields() {
-            checkpoint::put_u64(&mut out, f);
+            codec::put_u64(&mut out, f);
         }
         out.extend_from_slice(&self.collector.save_state());
         out
@@ -699,11 +699,11 @@ impl WeekScan {
     /// domain references, or collector accounting that does not balance.
     /// The restored scan has detached metrics and the frozen test clock;
     /// use [`WeekScan::bind_obs`] to re-attach instrumentation.
-    pub fn restore_state(bytes: &[u8]) -> Result<WeekScan, StateError> {
+    pub fn restore_state(bytes: &[u8]) -> Result<WeekScan, CodecError> {
         let mut cur = Cur::new(bytes);
         let version = cur.u32()?;
         if version != WEEKSCAN_STATE_VERSION {
-            return Err(StateError::BadVersion(version));
+            return Err(CodecError::BadVersion(version));
         }
         let week = Week(cur.u8()?);
         let member_count = cur.u32()?;
@@ -721,7 +721,7 @@ impl WeekScan {
         for id in 0..n_domains {
             let name = cur.str()?;
             if scan.domains.intern(name) != id as u32 {
-                return Err(StateError::Invalid("duplicate domain in intern table"));
+                return Err(CodecError::Invalid("duplicate domain in intern table"));
             }
         }
         let domain_count = scan.domains.len() as u32;
@@ -731,7 +731,7 @@ impl WeekScan {
         for _ in 0..n_ips {
             let ip = cur.u32()?;
             if prev_ip.is_some_and(|p| p >= ip) {
-                return Err(StateError::Invalid("ip keys not strictly increasing"));
+                return Err(CodecError::Invalid("ip keys not strictly increasing"));
             }
             prev_ip = Some(ip);
             let mut s = IpStats {
@@ -743,15 +743,15 @@ impl WeekScan {
             };
             let n_uris = usize::from(cur.u8()?);
             if n_uris > MAX_URIS_PER_IP {
-                return Err(StateError::Invalid("uri list exceeds the per-ip bound"));
+                return Err(CodecError::Invalid("uri list exceeds the per-ip bound"));
             }
             for _ in 0..n_uris {
                 let id = cur.u32()?;
                 if id >= domain_count {
-                    return Err(StateError::Invalid("uri id out of domain-table range"));
+                    return Err(CodecError::Invalid("uri id out of domain-table range"));
                 }
                 if s.uris.contains(&id) {
-                    return Err(StateError::Invalid("duplicate uri id for one ip"));
+                    return Err(CodecError::Invalid("duplicate uri id for one ip"));
                 }
                 s.uris.push(id);
             }
@@ -835,11 +835,9 @@ fn set_port_bit(e: &mut Evidence, port: u16) {
 /// Recover the member id from a port MAC (the inverse of
 /// `EthernetAddress::from_member_id`).
 pub fn member_of(mac: EthernetAddress) -> Option<MemberId> {
-    let b = mac.0;
-    if b[0] == 0x02 && b[1] == 0x1f {
-        Some(MemberId(u32::from_be_bytes([b[2], b[3], b[4], b[5]])))
-    } else {
-        None
+    match mac.0 {
+        [0x02, 0x1f, a, b, c, d] => Some(MemberId(u32::from_be_bytes([a, b, c, d]))),
+        _ => None,
     }
 }
 

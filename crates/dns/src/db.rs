@@ -7,6 +7,7 @@
 //! third-party access networks (the paper's step-3 population).
 
 use std::collections::HashMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use ixp_netmodel::{InternetModel, OrgId, OrgKind, ServerFlags};
@@ -29,6 +30,18 @@ impl SoaIdentity {
         self.provider.is_some()
     }
 }
+
+/// An SOA lookup that timed out: the paper's step-3 partial information.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoaTimeout;
+
+impl fmt::Display for SoaTimeout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SOA lookup timed out")
+    }
+}
+
+impl std::error::Error for SoaTimeout {}
 
 /// The queryable DNS database.
 #[derive(Debug)]
@@ -91,10 +104,11 @@ impl DnsDb {
     }
 
     /// SOA of the hostname of an IP, with the step-3 timeout behaviour:
-    /// returns `Err(())` when the lookup times out (partial information).
-    pub fn soa_of_ip(&self, ip: Ipv4Addr) -> Result<Option<SoaIdentity>, ()> {
+    /// returns [`SoaTimeout`] when the lookup times out (partial
+    /// information).
+    pub fn soa_of_ip(&self, ip: Ipv4Addr) -> Result<Option<SoaIdentity>, SoaTimeout> {
         if self.soa_timeout.contains_key(&u32::from(ip)) {
-            return Err(());
+            return Err(SoaTimeout);
         }
         match self.ptr_lookup(ip) {
             Some(name) => Ok(self.soa_lookup(name)),

@@ -27,6 +27,6 @@ pub mod db;
 pub mod names;
 pub mod resolvers;
 
-pub use db::{DnsDb, SoaIdentity};
+pub use db::{DnsDb, SoaIdentity, SoaTimeout};
 pub use names::hostname_for;
 pub use resolvers::{ResolveOutcome, Resolver, ResolverMetrics, ResolverPool};

@@ -58,7 +58,7 @@ pub fn overload_bursts(seed: u64, total: u64, n: usize, burst_len: u64) -> Vec<B
     if total == 0 || n == 0 || burst_len == 0 {
         return Vec::new();
     }
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6275_7273_74);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0062_7572_7374);
     let len = burst_len.min(total);
     // Carve the feed into n equal slots and place one burst per slot, so
     // windows never overlap and stay sorted by construction.
@@ -100,7 +100,7 @@ pub fn truncate_at_random(bytes: &[u8], seed: u64) -> Vec<u8> {
     if bytes.is_empty() {
         return Vec::new();
     }
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x7472_756e_63);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0074_7275_6e63);
     let keep = rng.gen_range(0..bytes.len());
     bytes.iter().copied().take(keep).collect()
 }

@@ -44,7 +44,7 @@ pub struct CacheStats {
     pub fixpoint_hit: bool,
 }
 
-/// FNV-1a-64 (same constants as the checkpoint envelope's checksum).
+/// FNV-1a-64 (same constants as the sealed-file checksum in `ixp_obs::codec`).
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

@@ -19,9 +19,9 @@
 //!   the first mismatched step.
 //! * **version discipline** — when the entry names a version const, both
 //!   bodies must mention it and must put/read it first as a `u32`;
-//!   sealed pairs must call `seal`/`open`; the envelope itself (frame
-//!   mode) must mention `MAGIC`, the format version, and `fnv64` on both
-//!   sides.
+//!   sealed pairs must call `seal`/`open`. The frame those two calls
+//!   write and verify is one shared function pair in `ixp_obs::codec`,
+//!   held by its own corruption tests rather than by this pass.
 //! * **schema-digest ratchet** (`schema-drift`) — an FNV-1a-64 digest of
 //!   the writer's field sequence *including the written expressions* is
 //!   pinned in the registry. Renaming, reordering, adding, or dropping a
@@ -51,9 +51,6 @@ pub struct CodecPair {
     pub version_ident: Option<&'static str>,
     /// Writer must call `seal(..)` and reader `open(..)`.
     pub sealed: bool,
-    /// The envelope itself: check the magic/version/checksum frame
-    /// instead of field-sequence symmetry.
-    pub frame: bool,
     /// Pinned FNV-1a-64 digest of the writer's schema (see module docs).
     pub digest: u64,
 }
@@ -68,7 +65,6 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("Collector", "restore_from"),
         version_ident: Some("COLLECTOR_STATE_VERSION"),
         sealed: false,
-        frame: false,
         digest: 0x4737_8e02_1aa4_1477,
     },
     CodecPair {
@@ -77,7 +73,6 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("WeekScan", "restore_state"),
         version_ident: Some("WEEKSCAN_STATE_VERSION"),
         sealed: false,
-        frame: false,
         digest: 0x22de_ae83_a9b7_4939,
     },
     CodecPair {
@@ -86,7 +81,6 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("Supervisor", "restore"),
         version_ident: Some("SUPERVISOR_STATE_VERSION"),
         sealed: true,
-        frame: false,
         digest: 0xc63d_1bdf_57af_8ec1,
     },
     CodecPair {
@@ -95,7 +89,6 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("IntakeRing", "restore"),
         version_ident: None,
         sealed: false,
-        frame: false,
         digest: 0x7076_142d_6dc2_10c0,
     },
     CodecPair {
@@ -104,25 +97,14 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("AgentHealth", "restore"),
         version_ident: None,
         sealed: false,
-        frame: false,
         digest: 0x5707_3053_7bbd_8dc7,
-    },
-    CodecPair {
-        file: "crates/supervisor/src/envelope.rs",
-        writer: ("", "seal"),
-        reader: ("", "open"),
-        version_ident: Some("FORMAT_VERSION"),
-        sealed: false,
-        frame: true,
-        digest: 0x926d_aadf_f3ad_6242,
     },
     CodecPair {
         file: "crates/transport/src/intake.rs",
         writer: ("TransportIntake", "save_state"),
         reader: ("TransportIntake", "restore_from"),
         version_ident: Some("TRANSPORT_STATE_VERSION"),
-        sealed: false,
-        frame: false,
+        sealed: true,
         digest: 0x121e_bf91_a698_ea17,
     },
     // Lint fixture: deliberately asymmetric pair under tests/fixtures.
@@ -132,7 +114,6 @@ pub const REGISTRY: &[CodecPair] = &[
         reader: ("MiniState", "restore"),
         version_ident: None,
         sealed: false,
-        frame: false,
         digest: 0x87e1_f982_bd95_d560,
     },
 ];
@@ -448,83 +429,58 @@ pub fn check_with(
         let wx = extract(toks, wb, true);
         let rx = extract(toks, rb, false);
 
-        if pair.frame {
-            // The envelope itself: the magic/version/length/trailer frame
-            // must be present on both sides, not field-symmetric.
-            for (f, ex) in [(w, &wx), (r, &rx)] {
-                for required in
-                    ["MAGIC", pair.version_ident.unwrap_or("FORMAT_VERSION"), "fnv64"]
-                {
-                    if !ex.idents.iter().any(|s| s == required) {
-                        out.push(Finding::at(
-                            &file.path,
-                            f.line,
-                            f.col,
-                            "codec-asymmetry",
-                            &format!(
-                                "envelope fn `{}` does not mention `{required}`; the \
-                                 magic/version/length/trailer frame must be written and \
-                                 verified on both sides",
-                                qual(pair.writer.0, &f.name),
-                            ),
-                        ));
-                    }
-                }
+        // Field-sequence symmetry: first divergence wins.
+        let n = wx.syms.len().max(rx.syms.len());
+        for step in 0..n {
+            let ws = wx.syms.get(step);
+            let rs = rx.syms.get(step);
+            let ok = matches!((ws, rs), (Some(a), Some(b)) if a.matches(b));
+            if !ok {
+                out.push(Finding::at(
+                    &file.path,
+                    r.line,
+                    r.col,
+                    "codec-asymmetry",
+                    &format!(
+                        "reader `{}` diverges from writer `{}` at field {}: writer has \
+                         {}, reader has {} — encode and decode must walk the same \
+                         ordered field list",
+                        qual(pair.reader.0, pair.reader.1),
+                        qual(pair.writer.0, pair.writer.1),
+                        step + 1,
+                        ws.map_or("nothing".to_string(), Sym::name),
+                        rs.map_or("nothing".to_string(), Sym::name),
+                    ),
+                ));
+                break;
             }
-        } else {
-            // Field-sequence symmetry: first divergence wins.
-            let n = wx.syms.len().max(rx.syms.len());
-            for step in 0..n {
-                let ws = wx.syms.get(step);
-                let rs = rx.syms.get(step);
-                let ok = matches!((ws, rs), (Some(a), Some(b)) if a.matches(b));
-                if !ok {
+        }
+        if let Some(version) = pair.version_ident {
+            for (f, ex) in [(w, &wx), (r, &rx)] {
+                if !ex.idents.iter().any(|s| s == version) {
                     out.push(Finding::at(
                         &file.path,
-                        r.line,
-                        r.col,
+                        f.line,
+                        f.col,
                         "codec-asymmetry",
                         &format!(
-                            "reader `{}` diverges from writer `{}` at field {}: writer has \
-                             {}, reader has {} — encode and decode must walk the same \
-                             ordered field list",
-                            qual(pair.reader.0, pair.reader.1),
-                            qual(pair.writer.0, pair.writer.1),
-                            step + 1,
-                            ws.map_or("nothing".to_string(), Sym::name),
-                            rs.map_or("nothing".to_string(), Sym::name),
+                            "codec fn `{}` does not mention its version const \
+                             `{version}`; versioned state must be framed by it",
+                            qual(pair.writer.0, &f.name),
                         ),
                     ));
-                    break;
-                }
-            }
-            if let Some(version) = pair.version_ident {
-                for (f, ex) in [(w, &wx), (r, &rx)] {
-                    if !ex.idents.iter().any(|s| s == version) {
-                        out.push(Finding::at(
-                            &file.path,
-                            f.line,
-                            f.col,
-                            "codec-asymmetry",
-                            &format!(
-                                "codec fn `{}` does not mention its version const \
-                                 `{version}`; versioned state must be framed by it",
-                                qual(pair.writer.0, &f.name),
-                            ),
-                        ));
-                    } else if ex.syms.first() != Some(&Sym::Op("u32")) {
-                        out.push(Finding::at(
-                            &file.path,
-                            f.line,
-                            f.col,
-                            "codec-asymmetry",
-                            &format!(
-                                "codec fn `{}` must put/read the `u32` version \
-                                 (`{version}`) as its first field",
-                                qual(pair.writer.0, &f.name),
-                            ),
-                        ));
-                    }
+                } else if ex.syms.first() != Some(&Sym::Op("u32")) {
+                    out.push(Finding::at(
+                        &file.path,
+                        f.line,
+                        f.col,
+                        "codec-asymmetry",
+                        &format!(
+                            "codec fn `{}` must put/read the `u32` version \
+                             (`{version}`) as its first field",
+                            qual(pair.writer.0, &f.name),
+                        ),
+                    ));
                 }
             }
         }
@@ -538,7 +494,7 @@ pub fn check_with(
                         "codec-asymmetry",
                         &format!(
                             "sealed codec fn `{}` must call `{call}` so the state rides \
-                             inside the checked envelope",
+                             inside the checked frame",
                             qual(pair.writer.0, &f.name),
                         ),
                     ));
@@ -634,8 +590,7 @@ mod tests {
             reader: ("S", "restore"),
             version_ident: None,
             sealed: false,
-            frame: false,
-            digest,
+                digest,
         }
     }
 

@@ -66,22 +66,20 @@ pub fn check(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
         match &t.kind {
             Kind::Ident(id) if id == "use" => in_use = true,
             Kind::Punct(';') => in_use = false,
-            Kind::Ident(id) if l7 && (id == "HashMap" || id == "HashSet") => {
-                // The `use` line falls with the last mention; flagging it
-                // too would double-count one decision.
-                if !in_use {
-                    out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "hash-iter-order",
-                        &format!(
-                            "`{id}` in a deterministic output/replay path; its iteration \
-                             order is randomized — use `BTree{}` or an explicit sort",
-                            id.trim_start_matches("Hash")
-                        ),
-                    ));
-                }
+            // The `use` line falls with the last mention; flagging it too
+            // would double-count one decision.
+            Kind::Ident(id) if l7 && (id == "HashMap" || id == "HashSet") && !in_use => {
+                out.push(Finding::at(
+                    path,
+                    t.line,
+                    t.col,
+                    "hash-iter-order",
+                    &format!(
+                        "`{id}` in a deterministic output/replay path; its iteration \
+                         order is randomized — use `BTree{}` or an explicit sort",
+                        id.trim_start_matches("Hash")
+                    ),
+                ));
             }
             Kind::Ident(id) if id == "SystemTime" || id == "Instant" => {
                 let now_next = matches!(toks.get(i + 1).map(|n| &n.kind), Some(Kind::PathSep))

@@ -33,14 +33,15 @@ use crate::parser::ParsedFile;
 use crate::symbols::SymbolTable;
 use crate::Finding;
 
-/// Crates whose `src/` trees are stream-facing.
+/// Crates whose `src/` trees are stream-facing, plus the shared codec
+/// that reads sealed files back off disk.
 fn in_scope(path: &str) -> bool {
     for crate_dir in ["wire", "sflow", "supervisor", "core", "faults", "transport"] {
         if path.starts_with(&format!("crates/{crate_dir}/src/")) {
             return true;
         }
     }
-    false
+    path == "crates/obs/src/codec.rs"
 }
 
 /// Final path segments that are fallible even when unresolvable.
@@ -292,6 +293,9 @@ mod tests {
     fn seed_fallible_primitives_need_no_resolution() {
         let src = "pub fn peek(cur: &mut Cur<'_>) {\nlet _ = cur.u64();\n}\n";
         let hits = scan("crates/supervisor/src/s.rs", src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        // The shared codec reads sealed files back off disk: in scope too.
+        let hits = scan("crates/obs/src/codec.rs", src);
         assert_eq!(hits.len(), 1, "{hits:?}");
     }
 

@@ -97,8 +97,8 @@ pub(crate) struct FileAllows {
 
 impl FileAllows {
     pub(crate) fn suppresses(&self, rule: &str, line: u32) -> bool {
-        self.file_wide.iter().any(|r| *r == rule)
-            || self.lines.get(&line).is_some_and(|rs| rs.iter().any(|r| *r == rule))
+        self.file_wide.contains(&rule)
+            || self.lines.get(&line).is_some_and(|rs| rs.contains(&rule))
     }
 }
 
@@ -406,7 +406,7 @@ fn skip_dir(name: &str) -> bool {
     name == "target" || name == "vendor" || name == "fixtures" || name.starts_with('.')
 }
 
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -414,7 +414,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()>
         let name = name.to_string_lossy();
         if path.is_dir() {
             if !skip_dir(&name) {
-                collect_rs(root, &path, out)?;
+                collect_rs(&path, out)?;
             }
         } else if name.ends_with(".rs") {
             out.push(path);
@@ -427,7 +427,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()>
 /// workspace-relative (path, content) pairs.
 fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut paths = Vec::new();
-    collect_rs(root, root, &mut paths)?;
+    collect_rs(root, &mut paths)?;
     // The general walk skips vendor/ (stand-ins are exempt from the
     // style-level families), but the L8 concurrency rules deliberately
     // cover the vendored channel/lock internals: walk those two crates
@@ -435,7 +435,7 @@ fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     for name in ["crossbeam", "parking_lot"] {
         let dir = root.join("vendor").join(name);
         if dir.is_dir() {
-            collect_rs(root, &dir, &mut paths)?;
+            collect_rs(&dir, &mut paths)?;
         }
     }
     paths.sort();

@@ -3,7 +3,8 @@
 //! This is not a Rust grammar: it recovers exactly the structure the
 //! semantic passes need — function items (name, impl owner, visibility,
 //! parameter names, body token range), call sites with per-argument token
-//! ranges, panic sites, and `use` imports — and it never fails. Anything
+//! ranges, panic sites, `use` imports and named struct fields — and it
+//! never fails. Anything
 //! it cannot make sense of is skipped token by token, which is the right
 //! degradation for a linter: an unparsed construct produces no findings
 //! rather than a crash.
@@ -27,6 +28,9 @@ pub struct CallSite {
     pub path: Vec<String>,
     /// True for `.name(...)` receiver calls.
     pub is_method: bool,
+    /// For `self.field.name(...)`: the field the method is called on,
+    /// so the call can resolve through the field's declared type.
+    pub self_field: Option<String>,
     /// 1-based line of the callee name.
     pub line: u32,
     /// 1-based column of the callee name.
@@ -82,6 +86,19 @@ pub struct FnItem {
     pub panics: Vec<PanicSite>,
 }
 
+/// One named field of a braced `struct`: `scan: WeekScan` gives
+/// `("WeekScan", "scan")` under owner `Supervisor`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StructField {
+    /// The struct declaring the field.
+    pub owner: String,
+    /// Field name.
+    pub name: String,
+    /// Head type name, past references and paths (`&'a mut a::B<C>` →
+    /// `B`).
+    pub ty: String,
+}
+
 /// One parsed file: imports plus function items, with the token stream
 /// kept alongside so passes can inspect argument ranges.
 #[derive(Debug)]
@@ -95,6 +112,8 @@ pub struct ParsedFile {
     pub uses: Vec<UseImport>,
     /// All function items in source order.
     pub fns: Vec<FnItem>,
+    /// Named fields of every braced `struct` in the file.
+    pub fields: Vec<StructField>,
 }
 
 /// The crate a workspace-relative path belongs to.
@@ -371,6 +390,67 @@ fn parse_params(toks: &[Token], open: usize, close: usize) -> Vec<String> {
     params
 }
 
+/// Parse the named fields of the `struct` whose keyword sits at `start`.
+/// Tuple and unit structs have none. Returns the index scanning should
+/// continue from.
+fn parse_struct(toks: &[Token], start: usize, out: &mut Vec<StructField>) -> usize {
+    let Some(Kind::Ident(owner)) = kind(toks.get(start + 1)) else {
+        return start + 1;
+    };
+    let mut i = start + 2;
+    if matches!(kind(toks.get(i)), Some(Kind::Punct('<'))) {
+        i = skip_angles(toks, i);
+    }
+    // Skip a `where` clause; stop at the body or at a tuple/unit end.
+    while let Some(t) = toks.get(i) {
+        match t.kind {
+            Kind::Punct('{') => break,
+            Kind::Punct('(' | ';') => return i,
+            _ => i += 1,
+        }
+    }
+    let end = skip_balanced(toks, i, '{', '}');
+    let mut depth = 0i32;
+    let mut j = i;
+    while j < end {
+        match kind(toks.get(j)) {
+            Some(Kind::Punct('{' | '(' | '[')) => depth += 1,
+            Some(Kind::Punct('}' | ')' | ']')) => depth -= 1,
+            Some(Kind::Punct('<')) => {
+                j = skip_angles(toks, j);
+                continue;
+            }
+            Some(Kind::Ident(name))
+                if depth == 1
+                    && matches!(kind(toks.get(j + 1)), Some(Kind::Punct(':')))
+                    && !matches!(kind(toks.get(j + 2)), Some(Kind::PathSep)) =>
+            {
+                // The head type: the last path segment before generics,
+                // past `&`, lifetimes, `mut` and `dyn`.
+                let mut k = j + 2;
+                let mut ty = None;
+                while let Some(t) = toks.get(k) {
+                    match &t.kind {
+                        Kind::Punct('&') | Kind::Lifetime | Kind::PathSep => {}
+                        Kind::Ident(w) if w == "mut" || w == "dyn" => {}
+                        Kind::Ident(w) => ty = Some(w.clone()),
+                        _ => break,
+                    }
+                    k += 1;
+                }
+                if let Some(ty) = ty {
+                    out.push(StructField { owner: owner.clone(), name: name.clone(), ty });
+                }
+                j = k;
+                continue;
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    end
+}
+
 /// Parse the `fn` whose keyword sits at `start`. Returns the item (or
 /// `None` when `fn` is part of a type like `fn(u32) -> u32`) and the index
 /// scanning should continue from.
@@ -542,9 +622,23 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                             _ => {}
                         }
                         let (args, _after) = split_args(toks, i + 1);
+                        // `self . field . name (`: remember the field.
+                        let self_field = match (
+                            i.checked_sub(4).and_then(|j| toks.get(j)).map(|t| &t.kind),
+                            i.checked_sub(3).and_then(|j| toks.get(j)).map(|t| &t.kind),
+                            i.checked_sub(2).and_then(|j| toks.get(j)).map(|t| &t.kind),
+                        ) {
+                            (
+                                Some(Kind::Ident(recv)),
+                                Some(Kind::Punct('.')),
+                                Some(Kind::Ident(field)),
+                            ) if recv == "self" => Some(field.clone()),
+                            _ => None,
+                        };
                         item.calls.push(CallSite {
                             path: vec![name.clone()],
                             is_method: true,
+                            self_field,
                             line: t.line,
                             col: t.col,
                             args,
@@ -561,6 +655,7 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                         item.calls.push(CallSite {
                             path: collect_path(toks, i, name),
                             is_method: false,
+                            self_field: None,
                             line: t.line,
                             col: t.col,
                             args,
@@ -599,6 +694,7 @@ pub fn parse(path: &str, lexed: &Lexed) -> ParsedFile {
         crate_name: crate_of(path),
         uses: Vec::new(),
         fns: Vec::new(),
+        fields: Vec::new(),
     };
     // Stack of enclosing impl/trait blocks: (owner, end token index).
     let mut owners: Vec<(String, usize)> = Vec::new();
@@ -613,6 +709,10 @@ pub fn parse(path: &str, lexed: &Lexed) -> ParsedFile {
                 // Only at statement position (not e.g. a field named `use`,
                 // which is not valid Rust anyway).
                 i = parse_use(toks, i, &mut file.uses);
+                continue;
+            }
+            Kind::Ident(id) if id == "struct" => {
+                i = parse_struct(toks, i, &mut file.fields).max(i + 1);
                 continue;
             }
             Kind::Ident(id) if id == "impl" || id == "trait" => {
@@ -732,6 +832,29 @@ mod tests {
         );
         assert_eq!(find("pick"), Some(vec!["ixp_core".into(), "util".into(), "pick".into()]));
         assert_eq!(find("xdr"), Some(vec!["crate".into(), "xdr".into()]));
+    }
+
+    #[test]
+    fn struct_fields_record_their_head_type() {
+        let p = parse_src(
+            "pub struct S<'a, T> where T: Copy {\n    scan: WeekScan,\n    pub r: &'a mut ring::IntakeRing,\n    m: BTreeMap<(u32, u32), T>,\n}\nstruct Unit;\nstruct Tuple(u8);\nimpl S<'_, u8> { fn go(&self) { self.scan.ingest(1); self.r.len(); x.y.z(); } }",
+        );
+        let got: Vec<(&str, &str, &str)> = p
+            .fields
+            .iter()
+            .map(|f| (f.owner.as_str(), f.name.as_str(), f.ty.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("S", "scan", "WeekScan"),
+                ("S", "r", "IntakeRing"),
+                ("S", "m", "BTreeMap"),
+            ]
+        );
+        let fields: Vec<Option<&str>> =
+            p.fns[0].calls.iter().map(|c| c.self_field.as_deref()).collect();
+        assert_eq!(fields, vec![Some("scan"), Some("r"), None]);
     }
 
     #[test]

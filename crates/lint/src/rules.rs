@@ -304,9 +304,9 @@ pub const RULES: &[RuleInfo] = &[
                   in the codec registry (crates/lint/src/codec_sym.rs) is \
                   abstracted to a width/loop/nested symbol sequence and the \
                   reader must mirror the writer exactly; versioned pairs must \
-                  frame a `u32` version const first, sealed pairs must ride in \
-                  the `seal`/`open` envelope, and the envelope itself must \
-                  write and verify the magic/version/length/trailer frame.",
+                  frame a `u32` version const first, and sealed pairs must \
+                  call `seal`/`open`. The frame itself is one shared function \
+                  pair in `ixp_obs::codec`, covered by its corruption tests.",
     },
     RuleInfo {
         id: "schema-drift",
@@ -444,8 +444,9 @@ pub fn resolve_rule(name: &str) -> Option<Vec<&'static str>> {
 /// L1 scope: source trees of the crates that face the raw datagram stream —
 /// the two packet parsers, the fault injector (which rewrites encoded
 /// datagrams and must survive anything it is fed, including its own output),
-/// the supervisor (which decodes checkpoint images that may be
-/// truncated or corrupted by the very crash they are recovering from),
+/// the supervisor and the shared codec in `ixp-obs` (which decode sealed
+/// files that may be truncated or corrupted by the very crash they are
+/// recovering from),
 /// and the wire transport (the UDP front door and its version gate, which
 /// read attacker-grade bytes straight off the socket),
 /// and the exposition server (which parses HTTP request bytes from any
@@ -457,6 +458,7 @@ pub(crate) fn l1_applies(path: &str) -> bool {
         || path.starts_with("crates/supervisor/src/")
         || path.starts_with("crates/transport/src/")
         || path.starts_with("crates/obsd/src/")
+        || path == "crates/obs/src/codec.rs"
 }
 
 /// L2 scope: modules that aggregate counters and must not silently truncate.
@@ -687,11 +689,7 @@ pub fn collect_error_info(
                             is_impl = true;
                             break;
                         }
-                        Kind::Ident(id) => {
-                            if trait_name.is_none() {
-                                trait_name = Some(id);
-                            }
-                        }
+                        Kind::Ident(id) if trait_name.is_none() => trait_name = Some(id),
                         Kind::Punct('{' | '}' | ';') => break,
                         _ => {}
                     }
@@ -792,6 +790,14 @@ fn f(b: &[u8]) {
         let src = "fn f(b: &[u8]) { b.first().unwrap(); let _ = b[0]; }";
         let got = run("crates/faults/src/plan.rs", src);
         assert_eq!(got, vec![(1, "no-unwrap"), (1, "no-index")]);
+    }
+
+    #[test]
+    fn l1_covers_the_shared_codec_but_not_the_rest_of_obs() {
+        let src = "fn f(b: &[u8]) { b.first().unwrap(); let _ = b[0]; }";
+        let got = run("crates/obs/src/codec.rs", src);
+        assert_eq!(got, vec![(1, "no-unwrap"), (1, "no-index")]);
+        assert!(run("crates/obs/src/journal.rs", src).is_empty());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! assumed safe". Within the workspace, lookups are crate-scoped — two
 //! crates can define `fn decode` without interfering — and ambiguous
 //! method names resolve to every same-crate candidate (union semantics:
-//! if any candidate can panic, callers inherit it).
+//! if any candidate can panic, callers inherit it). The one receiver
+//! whose type is known is a field of `self`: `self.scan.ingest(..)`
+//! resolves through the field's declared type, across crates.
 
 use std::collections::HashMap;
 
@@ -25,8 +27,26 @@ pub struct SymbolTable {
     /// `(crate, name)` → every owned method with that name (receiver-call
     /// fallback when the receiver type is unknown).
     by_name: HashMap<(String, String), Vec<FnRef>>,
+    /// `(crate, struct, field)` → `(crate, type)` of the field's declared
+    /// head type, with the type's crate taken from the declaring file's
+    /// `use` imports.
+    fields: HashMap<(String, String, String), (String, String)>,
     /// Crate names present in the workspace (`wire`, `sflow`, ...).
     crates: Vec<String>,
+    /// Per file index: true for library source (`src/` trees). Library
+    /// code cannot call into integration tests, benches or examples,
+    /// which are separate crates even when they share a crate name here.
+    lib_src: Vec<bool>,
+}
+
+/// Is `path` library source: the root `src/` tree or a member's `src/`?
+fn is_lib_src(path: &str) -> bool {
+    let mut parts = path.split('/');
+    match parts.next() {
+        Some("src") => true,
+        Some("crates" | "vendor") => parts.nth(1) == Some("src"),
+        _ => false,
+    }
 }
 
 /// Method names so common on std types that resolving a `.name(...)`
@@ -48,7 +68,10 @@ const STD_METHOD_NAMES: &[&str] = &[
 impl SymbolTable {
     /// Build the table from every parsed file.
     pub fn build(files: &[ParsedFile]) -> SymbolTable {
-        let mut table = SymbolTable::default();
+        let mut table = SymbolTable {
+            lib_src: files.iter().map(|f| is_lib_src(&f.path)).collect(),
+            ..SymbolTable::default()
+        };
         for (fi, file) in files.iter().enumerate() {
             if !table.crates.contains(&file.crate_name) {
                 table.crates.push(file.crate_name.clone());
@@ -74,7 +97,37 @@ impl SymbolTable {
                 }
             }
         }
+        for file in files {
+            for field in &file.fields {
+                let ty_crate = file
+                    .uses
+                    .iter()
+                    .find(|u| u.alias == field.ty)
+                    .and_then(|u| u.path.first())
+                    .and_then(|head| head.strip_prefix("ixp_"))
+                    .filter(|c| table.crates.iter().any(|k| k == c))
+                    .map_or_else(|| file.crate_name.clone(), str::to_string);
+                table.fields.insert(
+                    (file.crate_name.clone(), field.owner.clone(), field.name.clone()),
+                    (ty_crate, field.ty.clone()),
+                );
+            }
+        }
         table
+    }
+
+    /// Methods named `name` on the declared type of `self.<field>` in a
+    /// method of `owner`, if that type is a workspace type.
+    fn field_method(
+        &self,
+        krate: &str,
+        owner: &str,
+        field: &str,
+        name: &str,
+    ) -> Option<&Vec<FnRef>> {
+        let (ty_crate, ty) =
+            self.fields.get(&(krate.to_string(), owner.to_string(), field.to_string()))?;
+        self.methods.get(&(ty_crate.clone(), ty.clone(), name.to_string()))
     }
 
     /// Resolve a call made inside `caller` (in `file`) to workspace
@@ -105,8 +158,29 @@ impl SymbolTable {
         caller: &FnItem,
         filter_std: bool,
     ) -> Vec<FnRef> {
+        let mut found = self.candidates(call, file, caller, filter_std);
+        if is_lib_src(&file.path) {
+            found.retain(|r| self.lib_src.get(r.0).copied().unwrap_or(false));
+        }
+        found
+    }
+
+    fn candidates(
+        &self,
+        call: &CallSite,
+        file: &ParsedFile,
+        caller: &FnItem,
+        filter_std: bool,
+    ) -> Vec<FnRef> {
         if call.is_method {
             let Some(name) = call.path.first() else { return Vec::new() };
+            // A known field type pins the method exactly, so the std-name
+            // filter does not apply.
+            if let (Some(field), Some(owner)) = (&call.self_field, &caller.owner) {
+                if let Some(found) = self.field_method(&file.crate_name, owner, field, name) {
+                    return found.clone();
+                }
+            }
             if filter_std && STD_METHOD_NAMES.contains(&name.as_str()) {
                 return Vec::new();
             }
@@ -244,6 +318,42 @@ mod tests {
         )]);
         let table = SymbolTable::build(&files);
         assert!(resolve_names(&files, &table, 0, "go").is_empty());
+    }
+
+    #[test]
+    fn self_field_calls_resolve_through_the_field_type_across_crates() {
+        let files = ws(&[
+            (
+                "crates/core/src/scan.rs",
+                "pub struct WeekScan;\nimpl WeekScan { pub fn ingest(&mut self) {} pub fn len(&self) {} }",
+            ),
+            (
+                "crates/supervisor/src/sup.rs",
+                "use ixp_core::WeekScan;\npub struct Sup { scan: WeekScan, other: Vec<u8> }\n\
+                 impl Sup { pub fn offer(&mut self) { self.scan.ingest(); self.scan.len(); self.other.push(1); } }",
+            ),
+        ]);
+        let table = SymbolTable::build(&files);
+        assert_eq!(resolve_names(&files, &table, 1, "offer"), vec!["ingest", "len"]);
+    }
+
+    #[test]
+    fn library_code_never_resolves_into_integration_tests() {
+        let files = ws(&[
+            ("crates/core/src/http.rs", "pub fn classify(b: &[u8]) -> u8 { 0 }"),
+            ("crates/core/tests/proptests.rs", "fn classify(b: &[u8]) -> u8 { b[0] }"),
+            ("crates/core/src/scan.rs", "pub fn go(b: &[u8]) -> u8 { http::classify(b) }"),
+        ]);
+        let table = SymbolTable::build(&files);
+        let file = &files[2];
+        let caller = &file.fns[0];
+        let got: Vec<&str> = caller
+            .calls
+            .iter()
+            .flat_map(|c| table.resolve(c, file, caller))
+            .map(|(fi, _)| files[fi].path.as_str())
+            .collect();
+        assert_eq!(got, vec!["crates/core/src/http.rs"]);
     }
 
     #[test]

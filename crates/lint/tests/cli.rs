@@ -46,6 +46,7 @@ fn violations_tree_exits_one_with_findings_on_stdout() {
     // And the L9-L11 invariant families.
     assert!(stdout.contains("crates/supervisor/src/intake.rs:14: unaccounted-drop: "));
     assert!(stdout.contains("crates/supervisor/src/codec_pair.rs:16: codec-asymmetry: "));
+    assert!(stdout.contains("crates/supervisor/src/probe.rs:12: panic-path: "));
     assert!(stdout.contains("crates/core/src/codec_noreg.rs:5: schema-drift: "));
     assert!(stdout.contains("crates/sflow/src/sink.rs:13: error-sink: "));
     // The transport crate carries the same invariant families.
@@ -56,7 +57,7 @@ fn violations_tree_exits_one_with_findings_on_stdout() {
     assert!(stdout.contains("crates/transport/src/taint.rs:5: tainted-capacity: "));
     // So does the exposition server.
     assert!(stdout.contains("crates/obsd/src/bad.rs:4: no-expect: "));
-    assert!(stderr.contains("38 violation(s)"), "stderr was: {stderr}");
+    assert!(stderr.contains("39 violation(s)"), "stderr was: {stderr}");
 }
 
 #[test]
@@ -80,7 +81,7 @@ fn json_format_emits_the_documented_schema() {
         );
     }
     let findings = v.get("findings").and_then(|f| f.as_arr()).expect("findings array");
-    assert_eq!(v.get("summary").and_then(|s| s.get("total")).and_then(|t| t.as_u64()), Some(38));
+    assert_eq!(v.get("summary").and_then(|s| s.get("total")).and_then(|t| t.as_u64()), Some(39));
     let cycle = findings
         .iter()
         .find(|f| f.get("rule").and_then(|r| r.as_str()) == Some("lock-order-cycle"))

@@ -40,6 +40,7 @@ fn violations_tree_reports_every_rule_exactly() {
         ("crates/sflow/src/taint.rs", 8, "tainted-slice-len"),
         ("crates/supervisor/src/codec_pair.rs", 16, "codec-asymmetry"),
         ("crates/supervisor/src/intake.rs", 14, "unaccounted-drop"),
+        ("crates/supervisor/src/probe.rs", 12, "panic-path"),
         ("crates/transport/src/bad.rs", 4, "no-index"),
         ("crates/transport/src/l5.rs", 6, "panic-path"),
         ("crates/transport/src/shed.rs", 14, "unaccounted-drop"),
@@ -64,12 +65,27 @@ fn l5_trace_names_the_cross_crate_chain() {
     let findings = ixp_lint::scan_workspace(&fixture("violations")).unwrap();
     let trace = findings
         .iter()
-        .find(|f| f.rule == "panic-path")
+        .find(|f| f.rule == "panic-path" && f.file == "crates/transport/src/l5.rs")
         .map(|f| f.message.clone())
         .unwrap();
     assert!(trace.contains("first_byte"), "{trace}");
     assert!(trace.contains("pick"), "{trace}");
     assert!(trace.contains("crates/core/src/util.rs"), "{trace}");
+}
+
+/// The probe that once passed: an unconditional `panic!` in the week
+/// scan's ingest, reached from the supervisor through `self.scan`.
+#[test]
+fn l5_follows_self_field_receivers_into_other_crates() {
+    let findings = ixp_lint::scan_workspace(&fixture("violations")).unwrap();
+    let trace = findings
+        .iter()
+        .find(|f| f.rule == "panic-path" && f.file == "crates/supervisor/src/probe.rs")
+        .map(|f| f.message.clone())
+        .expect("the field-receiver probe must be reported");
+    assert!(trace.contains("pub fn `offer`"), "{trace}");
+    assert!(trace.contains("calls `ingest`"), "{trace}");
+    assert!(trace.contains("`panic!` (crates/core/src/weekscan.rs:11)"), "{trace}");
 }
 
 #[test]

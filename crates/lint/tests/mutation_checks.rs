@@ -73,8 +73,8 @@ fn uncounted_early_return_in_ingest_fails_conservation() {
 fn reordering_checkpoint_fields_without_version_bump_fails_drift() {
     let orig = live(COLLECTOR);
     let src = orig.replacen(
-        "checkpoint::put_u64(&mut out, self.seq_opened);\n        checkpoint::put_u64(&mut out, self.seq_recovered);",
-        "checkpoint::put_u64(&mut out, self.seq_recovered);\n        checkpoint::put_u64(&mut out, self.seq_opened);",
+        "codec::put_u64(&mut out, self.seq_opened);\n        codec::put_u64(&mut out, self.seq_recovered);",
+        "codec::put_u64(&mut out, self.seq_recovered);\n        codec::put_u64(&mut out, self.seq_opened);",
         1,
     );
     assert_ne!(src, orig, "patch must apply");
@@ -94,7 +94,7 @@ fn reordering_checkpoint_fields_without_version_bump_fails_drift() {
 fn dropping_a_checkpoint_field_fails_symmetry() {
     let orig = live(COLLECTOR);
     let src = orig.replacen(
-        "        checkpoint::put_u64(&mut out, self.latency_samples);\n",
+        "        codec::put_u64(&mut out, self.latency_samples);\n",
         "",
         1,
     );

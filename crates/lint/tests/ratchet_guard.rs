@@ -1,17 +1,12 @@
-//! CI guard for the ratchet baseline: the entry count may only go down.
+//! CI guard for the ratchet baseline: it is empty and must stay empty.
 //!
-//! `lint-baseline.toml` grandfathers pre-existing violations; every burn-
-//! down shrinks it, and nothing is ever allowed to grow it back. When a
-//! burn-down lands, lower `MAX_BASELINE_ENTRIES` to match — raising it is
-//! the one edit this test exists to make loud.
+//! `lint-baseline.toml` grandfathers violations; every rule family is now
+//! enforced at zero of them. Growing it back is the one edit this test
+//! exists to make loud.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
-
-/// The committed baseline is empty: every rule family is enforced at zero
-/// tolerated violations across the workspace.
-const MAX_BASELINE_ENTRIES: usize = 0;
 
 fn workspace_root() -> &'static Path {
     // crates/lint -> crates -> workspace root
@@ -23,8 +18,9 @@ fn baseline_entry_count_never_grows() {
     let path = workspace_root().join("lint-baseline.toml");
     let text = fs::read_to_string(&path).unwrap_or_default();
     let baseline = ixp_lint::baseline::parse(&text).expect("committed baseline must parse");
+    // Every rule family is enforced at zero tolerated violations.
     assert!(
-        baseline.entries.len() <= MAX_BASELINE_ENTRIES,
+        baseline.entries.is_empty(),
         "lint-baseline.toml grew to {} entr(ies); the ratchet only goes down. \
          Fix the new finding or vouch for it with an inline \
          `// ixp-lint: allow(<rule>) <reason>` directive instead of baselining it.",

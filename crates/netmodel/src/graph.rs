@@ -71,11 +71,7 @@ impl AsGraph {
                         regional.push(i);
                     }
                 }
-                AsRole::Reseller => {
-                    if is_member {
-                        member_resellers.push(i);
-                    }
-                }
+                AsRole::Reseller if is_member => member_resellers.push(i),
                 _ => {}
             }
         }
@@ -136,13 +132,13 @@ impl AsGraph {
 
         // Regional aggregators (non-member eyeballs/hosters picked as
         // providers) need upstreams of their own if they have none.
-        for i in 0..n {
+        for (i, provs) in providers.iter_mut().enumerate() {
             let info = registry.by_index(i as u32);
             if info.member.is_none()
-                && providers[i].is_empty()
+                && provs.is_empty()
                 && !matches!(info.role, AsRole::Tier1 | AsRole::Transit)
             {
-                providers[i].push(member_transit[rng.gen_range(0..member_transit.len())]);
+                provs.push(member_transit[rng.gen_range(0..member_transit.len())]);
             }
         }
 
@@ -315,8 +311,8 @@ mod tests {
             let gw = graph.gateway(&registry, info.asn, Week::LAST).unwrap();
             // The gateway must be a valid member id.
             assert!((gw.0 as usize) < registry.member_asns().len());
-            if info.member.is_some() {
-                assert_eq!(gw, info.member.unwrap().id);
+            if let Some(m) = info.member {
+                assert_eq!(gw, m.id);
             }
         }
     }

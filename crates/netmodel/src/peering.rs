@@ -23,7 +23,7 @@ impl PeeringMatrix {
     /// Generate a matrix for `n` members with the given pair density.
     pub fn generate(n: usize, density: f64, seed: u64) -> PeeringMatrix {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0007);
-        let words = (n * n + 63) / 64;
+        let words = (n * n).div_ceil(64);
         let mut bits = vec![0u64; words];
         for a in 0..n {
             for b in (a + 1)..n {

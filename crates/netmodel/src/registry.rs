@@ -349,17 +349,16 @@ impl AsRegistry {
             })
             .collect();
         late.truncate(joining_during_study);
-        let mut next_id = member_slots.len() as u32;
+        let first_id = member_slots.len() as u32;
         for (k, idx) in late.iter().enumerate() {
             // Spread join weeks roughly evenly across weeks 36..=51.
             let week = Week(36 + (k * (Week::COUNT - 1) / joining_during_study.max(1)) as u8);
             let info = &mut self.infos[*idx as usize];
             info.member = Some(Membership {
-                id: MemberId(next_id),
+                id: MemberId(first_id + k as u32),
                 joined: week,
                 reseller: false,
             });
-            next_id += 1;
         }
 
         let mut members: Vec<(u32, Asn)> = self

@@ -268,10 +268,8 @@ impl DeployPools {
         for info in registry.iter() {
             match info.role {
                 AsRole::EyeballLarge => eyeballs.push(info.asn),
-                AsRole::EyeballSmall | AsRole::University => {
-                    if eyeballs.len() < 4096 {
-                        eyeballs.push(info.asn);
-                    }
+                AsRole::EyeballSmall | AsRole::University if eyeballs.len() < 4096 => {
+                    eyeballs.push(info.asn);
                 }
                 AsRole::Hoster | AsRole::Cloud => hosting.push(info.asn),
                 _ => {}
@@ -292,6 +290,13 @@ impl DeployPools {
             .unwrap_or_default();
         DeployPools { eyeballs, member_eyeballs, hosting, reseller_a_cone }
     }
+}
+
+/// Where one pre-allocated server lands: its AS, address and country.
+struct Slot {
+    asn: Asn,
+    ip: Ipv4Addr,
+    country: CountryId,
 }
 
 struct Generator<'a> {
@@ -654,7 +659,7 @@ impl<'a> Generator<'a> {
                 Some(Archetype::StormCloud) => ServiceTag::StormCloud(d as u8),
                 _ => ServiceTag::None,
             };
-            self.place_dc_servers(org, home, &dc_prefixes[d], count, service, d, rng);
+            self.place_dc_servers(org, home, &dc_prefixes[d], count, service, rng);
         }
         // CloudFront edges: a slice of extra servers marked as the CDN part,
         // placed in the home AS as well (Amazon only).
@@ -671,7 +676,6 @@ impl<'a> Generator<'a> {
         dc_prefixes: &[u32],
         count: u32,
         service: ServiceTag,
-        dc_index: usize,
         rng: &mut SmallRng,
     ) {
         for _ in 0..count {
@@ -685,8 +689,8 @@ impl<'a> Generator<'a> {
                     let ip = entry.prefix.addr_at(u64::from(*next));
                     *next += 1;
                     let stable = rng.gen::<f64>() < self.params.archetype_stable;
-                    if let Some(mut server) =
-                        self.materialize_at(org, home, ip, entry.country, stable, service, rng)
+                    let slot = Slot { asn: home, ip, country: entry.country };
+                    if let Some(mut server) = self.materialize_at(org, slot, stable, service, rng)
                     {
                         // StormCloud US-East (DC 0 and 1) drops out in wk 44
                         // — which by definition evicts those servers from
@@ -695,11 +699,9 @@ impl<'a> Generator<'a> {
                             server.activity &= !(1u32 << (44 - 35));
                             server.flags.0 &= !ServerFlags::STABLE;
                         }
-                        // EC2 Ireland ramps up in weeks 49-51 (§4.2): one
-                        // third of its servers only appear then.
-                        if matches!(service, ServiceTag::Ec2(0))
-                            && dc_index == 0
-                            && rng.gen::<f64>() < 0.45
+                        // EC2 Ireland (DC 0) ramps up in weeks 49-51
+                        // (§4.2): one third of its servers only appear then.
+                        if matches!(service, ServiceTag::Ec2(0)) && rng.gen::<f64>() < 0.45
                         {
                             let start = rng.gen_range(49..=51u8);
                             let mut mask = 0u32;
@@ -753,15 +755,10 @@ impl<'a> Generator<'a> {
             }
             let ip = entry.prefix.addr_at(u64::from(*next));
             *next += 1;
-            if let Some(mut server) = self.materialize_at(
-                org,
-                amazon_asn,
-                ip,
-                entry.country,
-                false,
-                ServiceTag::Ec2(0),
-                rng,
-            ) {
+            let slot = Slot { asn: amazon_asn, ip, country: entry.country };
+            if let Some(mut server) =
+                self.materialize_at(org, slot, false, ServiceTag::Ec2(0), rng)
+            {
                 let start = 49 + rng.gen_range(0..3u8).min(2);
                 let mut mask = 0u32;
                 for w in start..=51 {
@@ -777,13 +774,12 @@ impl<'a> Generator<'a> {
     fn materialize_at(
         &mut self,
         org: &Organization,
-        asn: Asn,
-        ip: Ipv4Addr,
-        country: CountryId,
+        slot: Slot,
         stable: bool,
         service: ServiceTag,
         rng: &mut SmallRng,
     ) -> Option<Server> {
+        let Slot { asn, ip, country } = slot;
         let mut flags = ServerFlags::default();
         const ALL: u32 = (1 << Week::COUNT) - 1;
         if stable {

@@ -100,7 +100,7 @@ impl TestClock {
 
 impl Clock for TestClock {
     fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
+        self.now.load(Ordering::Acquire)
     }
 }
 

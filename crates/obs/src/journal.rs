@@ -16,11 +16,11 @@
 //!   reads it back fail-closed.
 //! * [`seal_flight`] / [`parse_flight`] — the binary *flight record*
 //!   dumped to a `<checkpoint>.flight` side file when a run is killed,
-//!   a restore is rejected, or the conservation auditor fires. The frame
-//!   mirrors the checkpoint envelope discipline: magic, format version,
-//!   event count, fixed-width big-endian events, FNV-1a-64 trailer —
-//!   parsing is total and every corruption maps to a typed
-//!   [`FlightError`].
+//!   a restore is rejected, or the conservation auditor fires. The
+//!   payload is an event count followed by fixed-width big-endian
+//!   events, sealed in the shared [`codec`](crate::codec) frame under
+//!   [`FLIGHT_MAGIC`] — parsing is total and every corruption maps to a
+//!   typed [`CodecError`].
 //!
 //! The journal is cheap when disabled (capacity 0 short-circuits before
 //! taking the lock's contents seriously) and bounded when enabled: once
@@ -31,6 +31,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
+use crate::codec::{self, put_u64, put_u8, CodecError, Cur, FLIGHT_MAGIC};
 
 /// Schema identifier written into every trace document.
 pub const TRACE_SCHEMA: &str = "ixp-trace/1";
@@ -40,11 +41,8 @@ pub const TRACE_SCHEMA: &str = "ixp-trace/1";
 /// while keeping a flight dump comfortably small.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
-/// Magic prefix of a sealed flight record.
-pub const FLIGHT_MAGIC: &[u8; 8] = b"IXPFLGT1";
-
-/// Format version of the flight-record frame.
-pub const FLIGHT_VERSION: u32 = 1;
+/// Format version of the flight record (the sealed frame's version).
+pub const FLIGHT_VERSION: u32 = 2;
 
 /// Bytes of one encoded event inside a flight record.
 const EVENT_WIRE_BYTES: usize = 57;
@@ -387,147 +385,46 @@ pub fn parse_trace(input: &str) -> Result<(Vec<Event>, u64), TraceError> {
 // Flight record (binary, sealed)
 // ---------------------------------------------------------------------------
 
-/// Why a flight record was rejected. Every corruption maps here; parsing
-/// never panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightError {
-    /// The frame does not start with [`FLIGHT_MAGIC`].
-    BadMagic,
-    /// The frame declares an unknown format version.
-    BadVersion(u32),
-    /// The frame ends before its declared content.
-    Truncated,
-    /// The FNV-1a-64 trailer does not match the frame body.
-    ChecksumMismatch,
-    /// Bytes follow the checksum trailer.
-    TrailingBytes,
-    /// An event carries an undefined kind byte.
-    BadKind(u8),
-}
-
-impl std::fmt::Display for FlightError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlightError::BadMagic => write!(f, "flight record has wrong magic"),
-            FlightError::BadVersion(v) => {
-                write!(f, "flight record declares unsupported version {v}")
-            }
-            FlightError::Truncated => write!(f, "flight record is truncated"),
-            FlightError::ChecksumMismatch => write!(f, "flight record checksum mismatch"),
-            FlightError::TrailingBytes => {
-                write!(f, "flight record has trailing bytes after the checksum")
-            }
-            FlightError::BadKind(b) => {
-                write!(f, "flight record event has undefined kind byte {b}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlightError {}
-
-/// FNV-1a 64-bit: the trailer seal of the flight record, the supervisor
-/// checkpoint envelope and the transport state (the per-byte state
-/// evolution is bijective, so any single-bit flip at unchanged length is
-/// always detected).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn get_u32(bytes: &[u8], pos: usize) -> Result<u32, FlightError> {
-    let end = pos.checked_add(4).ok_or(FlightError::Truncated)?;
-    let chunk = bytes.get(pos..end).ok_or(FlightError::Truncated)?;
-    let arr: [u8; 4] = chunk.try_into().map_err(|_| FlightError::Truncated)?;
-    Ok(u32::from_be_bytes(arr))
-}
-
-fn get_u64(bytes: &[u8], pos: usize) -> Result<u64, FlightError> {
-    let end = pos.checked_add(8).ok_or(FlightError::Truncated)?;
-    let chunk = bytes.get(pos..end).ok_or(FlightError::Truncated)?;
-    let arr: [u8; 8] = chunk.try_into().map_err(|_| FlightError::Truncated)?;
-    Ok(u64::from_be_bytes(arr))
-}
-
-/// Seal events into a flight record:
-/// `magic | version | count | events | fnv64(everything before trailer)`.
+/// Seal events into a flight record: the payload `count | events`,
+/// each event in fixed-width big-endian fields, inside the shared frame.
 pub fn seal_flight(events: &[Event]) -> Vec<u8> {
-    let count = u32::try_from(events.len()).unwrap_or(u32::MAX);
-    let mut out =
-        Vec::with_capacity(16 + events.len().saturating_mul(EVENT_WIRE_BYTES) + 8);
-    out.extend_from_slice(FLIGHT_MAGIC);
-    put_u32(&mut out, FLIGHT_VERSION);
-    put_u32(&mut out, count);
-    for e in events.iter().take(count as usize) {
-        put_u64(&mut out, e.seq);
-        put_u64(&mut out, e.tick);
-        put_u64(&mut out, e.at_ns);
-        out.push(e.kind as u8);
-        put_u64(&mut out, e.agent);
-        put_u64(&mut out, e.sub_agent);
-        put_u64(&mut out, e.a);
-        put_u64(&mut out, e.b);
+    let mut payload = Vec::with_capacity(8 + events.len().saturating_mul(EVENT_WIRE_BYTES));
+    put_u64(&mut payload, events.len() as u64);
+    for e in events {
+        put_u64(&mut payload, e.seq);
+        put_u64(&mut payload, e.tick);
+        put_u64(&mut payload, e.at_ns);
+        put_u8(&mut payload, e.kind as u8);
+        put_u64(&mut payload, e.agent);
+        put_u64(&mut payload, e.sub_agent);
+        put_u64(&mut payload, e.a);
+        put_u64(&mut payload, e.b);
     }
-    let digest = fnv64(&out);
-    put_u64(&mut out, digest);
-    out
+    codec::seal(FLIGHT_MAGIC, FLIGHT_VERSION, &payload)
 }
 
 /// Parse a sealed flight record. Total: every malformed input maps to a
-/// typed [`FlightError`], never a panic.
-pub fn parse_flight(bytes: &[u8]) -> Result<Vec<Event>, FlightError> {
-    let magic = bytes.get(..8).ok_or(FlightError::Truncated)?;
-    if magic != FLIGHT_MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    let version = get_u32(bytes, 8)?;
-    if version != FLIGHT_VERSION {
-        return Err(FlightError::BadVersion(version));
-    }
-    let count = get_u32(bytes, 12)? as usize;
-    // Cap hostile counts before allocating: the body must physically fit.
-    let body_len = count
-        .checked_mul(EVENT_WIRE_BYTES)
-        .and_then(|n| n.checked_add(16))
-        .ok_or(FlightError::Truncated)?;
-    if bytes.len() < body_len.saturating_add(8) {
-        return Err(FlightError::Truncated);
-    }
-    if bytes.len() > body_len.saturating_add(8) {
-        return Err(FlightError::TrailingBytes);
-    }
-    let body = bytes.get(..body_len).ok_or(FlightError::Truncated)?;
-    let declared = get_u64(bytes, body_len)?;
-    if fnv64(body) != declared {
-        return Err(FlightError::ChecksumMismatch);
-    }
-    let mut events = Vec::with_capacity(count.min(DEFAULT_CAPACITY * 4));
-    let mut pos = 16usize;
+/// typed [`CodecError`], never a panic.
+pub fn parse_flight(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
+    let mut cur = Cur::new(codec::open(FLIGHT_MAGIC, FLIGHT_VERSION, bytes)?);
+    let count = cur.count(EVENT_WIRE_BYTES)?;
+    let mut events = Vec::with_capacity(count);
     for _ in 0..count {
-        let seq = get_u64(bytes, pos)?;
-        let tick = get_u64(bytes, pos + 8)?;
-        let at_ns = get_u64(bytes, pos + 16)?;
-        let kind_byte = *bytes.get(pos + 24).ok_or(FlightError::Truncated)?;
-        let kind = EventKind::from_u8(kind_byte).ok_or(FlightError::BadKind(kind_byte))?;
-        let agent = get_u64(bytes, pos + 25)?;
-        let sub_agent = get_u64(bytes, pos + 33)?;
-        let a = get_u64(bytes, pos + 41)?;
-        let b = get_u64(bytes, pos + 49)?;
-        events.push(Event { seq, tick, at_ns, kind, agent, sub_agent, a, b });
-        pos = pos.checked_add(EVENT_WIRE_BYTES).ok_or(FlightError::Truncated)?;
+        events.push(Event {
+            seq: cur.u64()?,
+            tick: cur.u64()?,
+            at_ns: cur.u64()?,
+            kind: {
+                let b = cur.u8()?;
+                EventKind::from_u8(b).ok_or(CodecError::BadKind(b))?
+            },
+            agent: cur.u64()?,
+            sub_agent: cur.u64()?,
+            a: cur.u64()?,
+            b: cur.u64()?,
+        });
     }
+    cur.finish()?;
     Ok(events)
 }
 
@@ -535,6 +432,16 @@ pub fn parse_flight(bytes: &[u8]) -> Result<Vec<Event>, FlightError> {
 mod tests {
     use super::*;
     use crate::clock::{test_clock, TestClock};
+
+    /// Re-seal `events` with event 0's kind byte replaced, so only the
+    /// kind is bad: the payload is the `u64` count, then the events, and
+    /// the kind byte sits 24 bytes into an event.
+    fn with_kind_byte(events: &[Event], byte: u8) -> Vec<u8> {
+        let sealed = seal_flight(events);
+        let mut payload = codec::open(FLIGHT_MAGIC, FLIGHT_VERSION, &sealed).unwrap().to_vec();
+        payload[8 + 24] = byte;
+        codec::seal(FLIGHT_MAGIC, FLIGHT_VERSION, &payload)
+    }
 
     fn sample_journal() -> Journal {
         let j = Journal::with_capacity(8, test_clock());
@@ -652,19 +559,19 @@ mod tests {
         if let Some(b) = bad.first_mut() {
             *b ^= 0xFF;
         }
-        assert_eq!(parse_flight(&bad), Err(FlightError::BadMagic));
+        assert_eq!(parse_flight(&bad), Err(CodecError::BadMagic));
         // Unknown version.
         let mut bad = sealed.clone();
         if let Some(b) = bad.get_mut(11) {
             *b = 9;
         }
-        assert_eq!(parse_flight(&bad), Err(FlightError::BadVersion(9)));
+        assert_eq!(parse_flight(&bad), Err(CodecError::BadVersion(9)));
         // Body bit flip -> checksum.
         let mut bad = sealed.clone();
         if let Some(b) = bad.get_mut(20) {
             *b ^= 0x01;
         }
-        assert_eq!(parse_flight(&bad), Err(FlightError::ChecksumMismatch));
+        assert_eq!(parse_flight(&bad), Err(CodecError::ChecksumMismatch));
         // Truncation at every boundary is typed, never a panic.
         for cut in 0..sealed.len() {
             let got = parse_flight(&sealed[..cut]);
@@ -673,7 +580,7 @@ mod tests {
         // Trailing garbage.
         let mut bad = sealed.clone();
         bad.push(0);
-        assert_eq!(parse_flight(&bad), Err(FlightError::TrailingBytes));
+        assert_eq!(parse_flight(&bad), Err(CodecError::TrailingBytes));
     }
 
     #[test]
@@ -682,17 +589,7 @@ mod tests {
         if let Some(e) = j.first_mut() {
             e.kind = EventKind::Kill;
         }
-        let mut sealed = seal_flight(&j);
-        // Kind byte of event 0 sits at offset 16 + 24.
-        if let Some(b) = sealed.get_mut(40) {
-            *b = 200;
-        }
-        // Re-seal the checksum so only the kind is bad.
-        let body_len = sealed.len() - 8;
-        let digest = fnv64(&sealed[..body_len]);
-        sealed.truncate(body_len);
-        sealed.extend_from_slice(&digest.to_be_bytes());
-        assert_eq!(parse_flight(&sealed), Err(FlightError::BadKind(200)));
+        assert_eq!(parse_flight(&with_kind_byte(&j, 200)), Err(CodecError::BadKind(200)));
     }
 
     #[test]
@@ -709,15 +606,8 @@ mod tests {
     fn retired_kind_bytes_are_rejected_and_survivors_keep_theirs() {
         for retired in [3u8, 4, 6, 7] {
             assert_eq!(EventKind::from_u8(retired), None);
-            let mut sealed = seal_flight(&[sample_journal().events()[0]]);
-            // Kind byte of event 0 sits at offset 16 + 24; re-seal so only
-            // the kind is bad.
-            sealed[40] = retired;
-            let body_len = sealed.len() - 8;
-            let digest = fnv64(&sealed[..body_len]);
-            sealed.truncate(body_len);
-            sealed.extend_from_slice(&digest.to_be_bytes());
-            assert_eq!(parse_flight(&sealed), Err(FlightError::BadKind(retired)));
+            let sealed = with_kind_byte(&[sample_journal().events()[0]], retired);
+            assert_eq!(parse_flight(&sealed), Err(CodecError::BadKind(retired)));
         }
         let bytes = [
             (EventKind::TickStart, 0u8),

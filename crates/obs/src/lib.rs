@@ -2,7 +2,7 @@
 //!
 //! The pipeline processes (simulated) weeks of sFlow at line rate; this
 //! crate makes that processing visible without making it irreproducible.
-//! Three pieces (DESIGN.md §10):
+//! Its pieces (DESIGN.md §10):
 //!
 //! * a lock-free-on-the-hot-path metrics [`Registry`] — monotonic
 //!   [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s with
@@ -19,7 +19,11 @@
 //!   deterministic event [`Journal`] with an `ixp-trace/1` export and a
 //!   sealed binary flight record for post-mortems, and the runtime
 //!   conservation [`Auditor`] re-checking the L9 ledger identities
-//!   against live metric families.
+//!   against live metric families;
+//! * the [`codec`] every written file shares: big-endian field
+//!   primitives, the bounds-checked [`codec::Cur`] reader, and the one
+//!   sealed frame ([`codec::seal`] / [`codec::open`]) behind the
+//!   checkpoint, the flight record and the transport side file.
 //!
 //! The crate is dependency-free and panic-free: it is linked into the
 //! decoders' hot loops, which the workspace lint holds to a transitive
@@ -27,6 +31,7 @@
 
 pub mod audit;
 pub mod clock;
+pub mod codec;
 pub mod journal;
 pub mod json;
 pub mod metrics;
@@ -37,7 +42,8 @@ use std::sync::Arc;
 
 pub use audit::{AuditError, AuditScope, Auditor, Invariant};
 pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
-pub use journal::{Event, EventKind, FlightError, Journal, TraceError};
+pub use codec::CodecError;
+pub use journal::{Event, EventKind, Journal, TraceError};
 pub use metrics::{
     split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
     Snapshot, DURATION_BOUNDS_NS,

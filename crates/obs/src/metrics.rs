@@ -178,7 +178,7 @@ impl Histogram {
         // must not corrupt every earlier observation.
         let _ = inner
             .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
                 Some(cur.saturating_add(value))
             });
     }

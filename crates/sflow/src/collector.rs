@@ -30,13 +30,16 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use ixp_obs::codec::{self, CodecError, Cur};
 use ixp_obs::journal::{EventKind, Journal};
 use ixp_obs::{test_clock, Clock, Obs, Stopwatch};
 
 use crate::accounting::TrafficEstimate;
-use crate::checkpoint::{self, Cur, StateError, COLLECTOR_STATE_VERSION};
 use crate::datagram::{CounterSample, Datagram, DecodeError};
 use crate::metrics::CollectorMetrics;
+
+/// Serialization format version of [`Collector`] state.
+pub const COLLECTOR_STATE_VERSION: u32 = 1;
 
 /// Sequence regressions up to this distance are treated as reordering; a
 /// regression beyond it is a restart. 128 matches the sliding-window width.
@@ -550,55 +553,55 @@ impl Collector {
     /// from identical runs compare equal with `cmp`.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        checkpoint::put_u32(&mut out, COLLECTOR_STATE_VERSION);
-        checkpoint::put_u64(&mut out, self.datagrams);
-        checkpoint::put_u64(&mut out, self.errors.truncated);
-        checkpoint::put_u64(&mut out, self.errors.bad_version);
-        checkpoint::put_u64(&mut out, self.errors.unsupported_agent);
-        checkpoint::put_u64(&mut out, self.errors.inconsistent);
-        checkpoint::put_u64(&mut out, self.unattributed_errors);
-        checkpoint::put_u64(&mut out, self.seq_opened);
-        checkpoint::put_u64(&mut out, self.seq_recovered);
-        checkpoint::put_u64(&mut out, self.latency_samples);
+        codec::put_u32(&mut out, COLLECTOR_STATE_VERSION);
+        codec::put_u64(&mut out, self.datagrams);
+        codec::put_u64(&mut out, self.errors.truncated);
+        codec::put_u64(&mut out, self.errors.bad_version);
+        codec::put_u64(&mut out, self.errors.unsupported_agent);
+        codec::put_u64(&mut out, self.errors.inconsistent);
+        codec::put_u64(&mut out, self.unattributed_errors);
+        codec::put_u64(&mut out, self.seq_opened);
+        codec::put_u64(&mut out, self.seq_recovered);
+        codec::put_u64(&mut out, self.latency_samples);
 
         let mut sources: Vec<(&SourceKey, &SourceState)> = self.sources.iter().collect();
         sources.sort_by_key(|(k, _)| (u32::from(k.agent), k.sub_agent));
-        checkpoint::put_u64(&mut out, sources.len() as u64);
+        codec::put_u64(&mut out, sources.len() as u64);
         for (k, s) in sources {
-            checkpoint::put_u32(&mut out, u32::from(k.agent));
-            checkpoint::put_u32(&mut out, k.sub_agent);
-            checkpoint::put_u32(&mut out, s.last_seq);
-            checkpoint::put_u128(&mut out, s.window);
-            checkpoint::put_u32(&mut out, s.last_uptime);
-            checkpoint::put_bool(&mut out, s.started);
-            checkpoint::put_u32(&mut out, s.error_run);
-            checkpoint::put_u64(&mut out, s.stats.received);
-            checkpoint::put_u64(&mut out, s.stats.duplicates);
-            checkpoint::put_u64(&mut out, s.stats.lost);
-            checkpoint::put_u64(&mut out, s.stats.restarts);
-            checkpoint::put_u64(&mut out, s.stats.decode_errors);
-            checkpoint::put_bool(&mut out, s.stats.quarantined);
+            codec::put_u32(&mut out, u32::from(k.agent));
+            codec::put_u32(&mut out, k.sub_agent);
+            codec::put_u32(&mut out, s.last_seq);
+            codec::put_u128(&mut out, s.window);
+            codec::put_u32(&mut out, s.last_uptime);
+            codec::put_bool(&mut out, s.started);
+            codec::put_u32(&mut out, s.error_run);
+            codec::put_u64(&mut out, s.stats.received);
+            codec::put_u64(&mut out, s.stats.duplicates);
+            codec::put_u64(&mut out, s.stats.lost);
+            codec::put_u64(&mut out, s.stats.restarts);
+            codec::put_u64(&mut out, s.stats.decode_errors);
+            codec::put_bool(&mut out, s.stats.quarantined);
         }
 
         let mut counters: Vec<(&(Ipv4Addr, u32), &CounterTrack)> = self.counters.iter().collect();
         counters.sort_by_key(|((agent, source_id), _)| (u32::from(*agent), *source_id));
-        checkpoint::put_u64(&mut out, counters.len() as u64);
+        codec::put_u64(&mut out, counters.len() as u64);
         for ((agent, source_id), t) in counters {
-            checkpoint::put_u32(&mut out, u32::from(*agent));
-            checkpoint::put_u32(&mut out, *source_id);
-            checkpoint::put_u32(&mut out, t.last.sequence);
-            checkpoint::put_u32(&mut out, t.last.source_id);
-            checkpoint::put_u32(&mut out, t.last.if_index);
-            checkpoint::put_u64(&mut out, t.last.if_speed);
-            checkpoint::put_u64(&mut out, t.last.if_in_octets);
-            checkpoint::put_u32(&mut out, t.last.if_in_ucast);
-            checkpoint::put_u64(&mut out, t.last.if_out_octets);
-            checkpoint::put_u32(&mut out, t.last.if_out_ucast);
-            checkpoint::put_u64(&mut out, t.totals.in_octets);
-            checkpoint::put_u64(&mut out, t.totals.out_octets);
-            checkpoint::put_u64(&mut out, t.totals.in_ucast);
-            checkpoint::put_u64(&mut out, t.totals.out_ucast);
-            checkpoint::put_u64(&mut out, t.totals.exports);
+            codec::put_u32(&mut out, u32::from(*agent));
+            codec::put_u32(&mut out, *source_id);
+            codec::put_u32(&mut out, t.last.sequence);
+            codec::put_u32(&mut out, t.last.source_id);
+            codec::put_u32(&mut out, t.last.if_index);
+            codec::put_u64(&mut out, t.last.if_speed);
+            codec::put_u64(&mut out, t.last.if_in_octets);
+            codec::put_u32(&mut out, t.last.if_in_ucast);
+            codec::put_u64(&mut out, t.last.if_out_octets);
+            codec::put_u32(&mut out, t.last.if_out_ucast);
+            codec::put_u64(&mut out, t.totals.in_octets);
+            codec::put_u64(&mut out, t.totals.out_octets);
+            codec::put_u64(&mut out, t.totals.in_ucast);
+            codec::put_u64(&mut out, t.totals.out_ucast);
+            codec::put_u64(&mut out, t.totals.exports);
         }
         out
     }
@@ -609,7 +612,7 @@ impl Collector {
     /// accounting that does not balance. The restored collector starts with
     /// detached metrics and the frozen test clock; use
     /// [`Collector::bind_obs`] to re-attach instrumentation.
-    pub fn restore_state(bytes: &[u8]) -> Result<Collector, StateError> {
+    pub fn restore_state(bytes: &[u8]) -> Result<Collector, CodecError> {
         let mut cur = Cur::new(bytes);
         let c = Collector::restore_from(&mut cur)?;
         cur.finish()?;
@@ -619,10 +622,10 @@ impl Collector {
     /// Restore from an open cursor (the week-scan checkpoint nests the
     /// collector state inside its own), leaving the cursor just past the
     /// collector section.
-    pub fn restore_from(cur: &mut Cur<'_>) -> Result<Collector, StateError> {
+    pub fn restore_from(cur: &mut Cur<'_>) -> Result<Collector, CodecError> {
         let version = cur.u32()?;
         if version != COLLECTOR_STATE_VERSION {
-            return Err(StateError::BadVersion(version));
+            return Err(CodecError::BadVersion(version));
         }
         let mut c = Collector::new();
         c.datagrams = cur.u64()?;
@@ -642,7 +645,7 @@ impl Collector {
             let agent = cur.u32()?;
             let sub_agent = cur.u32()?;
             if prev_key.is_some_and(|p| p >= (agent, sub_agent)) {
-                return Err(StateError::Invalid("source keys not strictly increasing"));
+                return Err(CodecError::Invalid("source keys not strictly increasing"));
             }
             prev_key = Some((agent, sub_agent));
             let mut s = SourceState::new();
@@ -677,7 +680,7 @@ impl Collector {
             let agent = cur.u32()?;
             let source_id = cur.u32()?;
             if prev_key.is_some_and(|p| p >= (agent, source_id)) {
-                return Err(StateError::Invalid("counter keys not strictly increasing"));
+                return Err(CodecError::Invalid("counter keys not strictly increasing"));
             }
             prev_key = Some((agent, source_id));
             let last = CounterSample {
@@ -705,10 +708,10 @@ impl Collector {
         let accounted =
             c.agg.accepted.checked_add(c.agg.duplicates).and_then(|v| v.checked_add(errors));
         if accounted != Some(c.datagrams) {
-            return Err(StateError::Invalid("datagram accounting does not balance"));
+            return Err(CodecError::Invalid("datagram accounting does not balance"));
         }
         if c.seq_opened.checked_sub(c.seq_recovered) != Some(c.agg.lost) {
-            return Err(StateError::Invalid("loss accounting does not balance"));
+            return Err(CodecError::Invalid("loss accounting does not balance"));
         }
         Ok(c)
     }
@@ -1134,7 +1137,7 @@ mod tests {
         }
         // Single-byte corruption anywhere must be rejected (the payload has
         // no checksum of its own — the accounting and ordering validation
-        // plus the envelope checksum in ixp-supervisor carry that — but it
+        // plus the checkpoint frame's checksum carry that — but it
         // must never panic and never restore an unbalanced state).
         for i in 0..blob.len() {
             let mut bad = blob.clone();
@@ -1155,7 +1158,7 @@ mod tests {
             *b = 99;
         }
         match Collector::restore_state(&blob) {
-            Err(crate::checkpoint::StateError::BadVersion(99)) => {}
+            Err(ixp_obs::CodecError::BadVersion(99)) => {}
             other => panic!("expected BadVersion(99), got {:?}", other.err()),
         }
     }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod checkpoint;
 pub mod collector;
 pub mod datagram;
 pub mod metrics;
@@ -41,7 +40,6 @@ pub mod sampler;
 pub mod xdr;
 
 pub use accounting::TrafficEstimate;
-pub use checkpoint::StateError;
 pub use collector::{Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats};
 pub use metrics::CollectorMetrics;
 pub use datagram::{CounterSample, Datagram, DecodeError, FlowSample, RawPacketHeader, HEADER_PROTO_ETHERNET};

@@ -229,7 +229,7 @@ proptest! {
     }
 
     /// A damaged checkpoint — any strict truncation, or an arbitrary byte
-    /// flip — is rejected with a typed `StateError` or restores to a
+    /// flip — is rejected with a typed `CodecError` or restores to a
     /// still-balanced collector. It must never panic and never yield a
     /// collector whose accounting does not add up.
     #[test]

@@ -20,7 +20,7 @@
 //!   `recover_ticks` consecutive clean ticks it is *Healthy* again. Any
 //!   dirty tick during recovery falls straight back.
 
-use ixp_sflow::checkpoint::{self, Cur, StateError};
+use ixp_obs::codec::{self, CodecError, Cur};
 
 /// The watchdog's verdict on one agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,11 +66,11 @@ impl HealthState {
         }
     }
 
-    fn from_index(i: u8) -> Result<HealthState, StateError> {
+    fn from_index(i: u8) -> Result<HealthState, CodecError> {
         HealthState::ALL
             .get(usize::from(i))
             .copied()
-            .ok_or(StateError::Invalid("health state index out of range"))
+            .ok_or(CodecError::Invalid("health state index out of range"))
     }
 }
 
@@ -171,12 +171,12 @@ impl AgentHealth {
 
     /// Serialize (state index + clean-tick counter).
     pub fn save(&self, out: &mut Vec<u8>) {
-        checkpoint::put_u8(out, self.state.index() as u8);
-        checkpoint::put_u32(out, self.clean_ticks);
+        codec::put_u8(out, self.state.index() as u8);
+        codec::put_u32(out, self.clean_ticks);
     }
 
     /// Restore from [`AgentHealth::save`] bytes.
-    pub fn restore(cur: &mut Cur<'_>) -> Result<AgentHealth, StateError> {
+    pub fn restore(cur: &mut Cur<'_>) -> Result<AgentHealth, CodecError> {
         let state = HealthState::from_index(cur.u8()?)?;
         let clean_ticks = cur.u32()?;
         Ok(AgentHealth { state, clean_ticks })

@@ -29,14 +29,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod envelope;
 pub mod health;
 pub mod metrics;
 pub mod ring;
 pub mod supervisor;
 
-pub use envelope::CheckpointError;
 pub use health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
 pub use metrics::SupervisorMetrics;
 pub use ring::IntakeRing;
-pub use supervisor::{Supervisor, SupervisorConfig, SupervisorStats, SUPERVISOR_STATE_VERSION};
+pub use supervisor::{
+    Supervisor, SupervisorConfig, SupervisorStats, FORMAT_VERSION, SUPERVISOR_STATE_VERSION,
+};

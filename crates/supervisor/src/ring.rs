@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use ixp_sflow::checkpoint::{self, Cur, StateError};
+use ixp_obs::codec::{self, CodecError, Cur};
 
 /// A fixed-capacity FIFO of encoded datagrams with an explicit shed count.
 #[derive(Debug)]
@@ -82,30 +82,30 @@ impl IntakeRing {
     /// Serialize the ring contents and counters (capacity is configuration,
     /// not state — the restoring side supplies it).
     pub fn save(&self, out: &mut Vec<u8>) {
-        checkpoint::put_u64(out, self.shed);
-        checkpoint::put_u64(out, self.high_water as u64);
-        checkpoint::put_u64(out, self.buf.len() as u64);
+        codec::put_u64(out, self.shed);
+        codec::put_u64(out, self.high_water as u64);
+        codec::put_u64(out, self.buf.len() as u64);
         for dg in &self.buf {
-            checkpoint::put_bytes(out, dg);
+            codec::put_bytes(out, dg);
         }
     }
 
     /// Restore a ring saved by [`IntakeRing::save`] into a ring of
     /// `capacity`. Rejects blobs whose queue depth exceeds the capacity —
     /// that state could never have been produced under this configuration.
-    pub fn restore(cur: &mut Cur<'_>, capacity: usize) -> Result<IntakeRing, StateError> {
+    pub fn restore(cur: &mut Cur<'_>, capacity: usize) -> Result<IntakeRing, CodecError> {
         let mut ring = IntakeRing::new(capacity);
         ring.shed = cur.u64()?;
         let high_water = cur.u64()?;
         ring.high_water =
-            usize::try_from(high_water).map_err(|_| StateError::Invalid("high water overflow"))?;
+            usize::try_from(high_water).map_err(|_| CodecError::Invalid("high water overflow"))?;
         // Each queued datagram costs at least its u64 length prefix.
         let n = cur.count(8)?;
         if n > ring.capacity {
-            return Err(StateError::Invalid("queued depth exceeds ring capacity"));
+            return Err(CodecError::Invalid("queued depth exceeds ring capacity"));
         }
         if ring.high_water > ring.capacity || ring.high_water < n {
-            return Err(StateError::Invalid("high water inconsistent with queue"));
+            return Err(CodecError::Invalid("high water inconsistent with queue"));
         }
         for _ in 0..n {
             ring.buf.push_back(cur.bytes()?.to_vec());

@@ -15,17 +15,20 @@ use std::collections::BTreeMap;
 
 use ixp_core::WeekScan;
 use ixp_netmodel::Week;
+use ixp_obs::codec::{self, CodecError, Cur, CHECKPOINT_MAGIC};
 use ixp_obs::journal::{EventKind, Journal};
 use ixp_obs::Obs;
-use ixp_sflow::checkpoint::{self, Cur, StateError};
 
-use crate::envelope::{self, CheckpointError};
 use crate::health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
 use crate::metrics::SupervisorMetrics;
 use crate::ring::IntakeRing;
 
 /// Serialization format version of [`Supervisor`] state.
 pub const SUPERVISOR_STATE_VERSION: u32 = 1;
+
+/// Version of the checkpoint file's sealed frame, independent of the
+/// payload's own state versions.
+pub const FORMAT_VERSION: u32 = 1;
 
 /// Configuration of the supervised ingest loop. Configuration is not part
 /// of a checkpoint: the restoring side supplies it, and the restore
@@ -367,50 +370,49 @@ impl Supervisor {
 
     /// Serialize the whole supervised pipeline — supervisor counters, ring
     /// contents, per-agent health, and the nested scan/collector state —
-    /// into a sealed checkpoint file image (magic, version, checksum; see
-    /// [`crate::envelope`]).
+    /// into a checkpoint file image sealed under [`CHECKPOINT_MAGIC`] and
+    /// [`FORMAT_VERSION`] (see [`ixp_obs::codec`]).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        checkpoint::put_u32(&mut payload, SUPERVISOR_STATE_VERSION);
-        checkpoint::put_u64(&mut payload, self.offered);
-        checkpoint::put_u64(&mut payload, self.ticks);
-        checkpoint::put_u64(&mut payload, self.deadline_misses);
-        checkpoint::put_bool(&mut payload, self.stalled);
+        codec::put_u32(&mut payload, SUPERVISOR_STATE_VERSION);
+        codec::put_u64(&mut payload, self.offered);
+        codec::put_u64(&mut payload, self.ticks);
+        codec::put_u64(&mut payload, self.deadline_misses);
+        codec::put_bool(&mut payload, self.stalled);
         for t in self.transitions {
-            checkpoint::put_u64(&mut payload, t);
+            codec::put_u64(&mut payload, t);
         }
         self.ring.save(&mut payload);
-        checkpoint::put_u64(&mut payload, self.prev.len() as u64);
+        codec::put_u64(&mut payload, self.prev.len() as u64);
         for (key, p) in &self.prev {
-            checkpoint::put_u32(&mut payload, key.0);
-            checkpoint::put_u32(&mut payload, key.1);
-            checkpoint::put_u64(&mut payload, p.received);
-            checkpoint::put_u64(&mut payload, p.lost);
-            checkpoint::put_u64(&mut payload, p.decode_errors);
-            checkpoint::put_bool(&mut payload, p.quarantined);
+            codec::put_u32(&mut payload, key.0);
+            codec::put_u32(&mut payload, key.1);
+            codec::put_u64(&mut payload, p.received);
+            codec::put_u64(&mut payload, p.lost);
+            codec::put_u64(&mut payload, p.decode_errors);
+            codec::put_bool(&mut payload, p.quarantined);
         }
-        checkpoint::put_u64(&mut payload, self.health.len() as u64);
+        codec::put_u64(&mut payload, self.health.len() as u64);
         for (key, h) in &self.health {
-            checkpoint::put_u32(&mut payload, key.0);
-            checkpoint::put_u32(&mut payload, key.1);
+            codec::put_u32(&mut payload, key.0);
+            codec::put_u32(&mut payload, key.1);
             h.save(&mut payload);
         }
-        checkpoint::put_bytes(&mut payload, &self.scan.save_state());
-        envelope::seal(&payload)
+        codec::put_bytes(&mut payload, &self.scan.save_state());
+        codec::seal(CHECKPOINT_MAGIC, FORMAT_VERSION, &payload)
     }
 
     /// Restore a supervised pipeline from a [`Supervisor::checkpoint`]
     /// image under the same configuration. The image is hostile input:
-    /// envelope and payload are fully validated with typed errors, never
+    /// frame and payload are fully validated with typed errors, never
     /// panics. The restored supervisor has detached metrics; use
     /// [`Supervisor::bind_obs`] to re-attach instrumentation.
-    pub fn restore(bytes: &[u8], config: SupervisorConfig) -> Result<Supervisor, CheckpointError> {
+    pub fn restore(bytes: &[u8], config: SupervisorConfig) -> Result<Supervisor, CodecError> {
         let config = config.normalized();
-        let payload = envelope::open(bytes)?;
-        let mut cur = Cur::new(payload);
+        let mut cur = Cur::new(codec::open(CHECKPOINT_MAGIC, FORMAT_VERSION, bytes)?);
         let version = cur.u32()?;
         if version != SUPERVISOR_STATE_VERSION {
-            return Err(CheckpointError::State(StateError::BadVersion(version)));
+            return Err(CodecError::BadVersion(version));
         }
         let offered = cur.u64()?;
         let ticks = cur.u64()?;
@@ -428,7 +430,7 @@ impl Supervisor {
         for _ in 0..n_prev {
             let key = (cur.u32()?, cur.u32()?);
             if last.is_some_and(|l| l >= key) {
-                return Err(StateError::Invalid("prev keys not strictly increasing").into());
+                return Err(CodecError::Invalid("prev keys not strictly increasing"));
             }
             last = Some(key);
             let p = PrevStats {
@@ -446,7 +448,7 @@ impl Supervisor {
         for _ in 0..n_health {
             let key = (cur.u32()?, cur.u32()?);
             if last.is_some_and(|l| l >= key) {
-                return Err(StateError::Invalid("health keys not strictly increasing").into());
+                return Err(CodecError::Invalid("health keys not strictly increasing"));
             }
             last = Some(key);
             health.insert(key, AgentHealth::restore(&mut cur)?);
@@ -455,11 +457,11 @@ impl Supervisor {
         let scan = WeekScan::restore_state(scan_blob)?;
         cur.finish()?;
         if scan.shed() != ring.shed() {
-            return Err(StateError::Invalid("shed counters disagree").into());
+            return Err(CodecError::Invalid("shed counters disagree"));
         }
         let ingested = scan.ingest_health().ingested().saturating_add(ring.len() as u64);
         if ingested != offered {
-            return Err(StateError::Invalid("offered count does not cover the pipeline").into());
+            return Err(CodecError::Invalid("offered count does not cover the pipeline"));
         }
         Ok(Supervisor {
             config,

@@ -79,7 +79,7 @@ proptest! {
     }
 
     /// Any strict truncation and any single byte flip of a checkpoint
-    /// image is rejected with a typed error — the envelope checksum and
+    /// image is rejected with a typed error — the sealed frame and
     /// payload validation fail closed, never panic, never half-restore.
     #[test]
     fn checkpoint_damage_is_rejected_typed(

@@ -51,7 +51,7 @@ pub fn http_response(server_token: &str, length: usize, rng: &mut SmallRng) -> V
     )
     .into_bytes();
     // Pad with the first content bytes so the frame reaches its size.
-    head.extend(std::iter::repeat(0xE5u8).take(32));
+    head.extend(std::iter::repeat_n(0xE5u8, 32));
     head
 }
 

@@ -21,23 +21,24 @@
 //! accounting, never silent.
 //!
 //! The whole intake — bound, stats and inbox — serializes through
-//! [`save_state`] / [`restore_from`] in the same versioned fail-closed
-//! codec style as the collector checkpoint, so a supervisor
-//! kill-and-resume loses nothing and stays byte-identical.
+//! [`save_state`] / [`restore_from`] with the same fail-closed codec and
+//! sealed frame as the supervisor checkpoint (under its own magic), so a
+//! supervisor kill-and-resume loses nothing and stays byte-identical.
 //!
 //! [`save_state`]: TransportIntake::save_state
 //! [`restore_from`]: TransportIntake::restore_from
 
 use std::collections::VecDeque;
 
-use ixp_obs::journal::{fnv64, EventKind, Journal};
-use ixp_sflow::checkpoint::{put_bytes, put_u32, put_u64, Cur, StateError};
+use ixp_obs::codec::{self, put_bytes, put_u32, put_u64, CodecError, Cur, TRANSPORT_MAGIC};
+use ixp_obs::journal::{EventKind, Journal};
 
 use crate::link::{Link, LinkError, MAX_PACKET};
 use crate::metrics::TransportMetrics;
 
-/// Serialization format version of [`TransportIntake`] state.
-pub const TRANSPORT_STATE_VERSION: u32 = 2;
+/// Serialization format version of [`TransportIntake`] state, used both
+/// as the sealed frame's version and as the payload's leading word.
+pub const TRANSPORT_STATE_VERSION: u32 = 3;
 
 /// Size bound of the intake.
 #[derive(Debug, Clone, Copy)]
@@ -207,8 +208,8 @@ impl TransportIntake {
     }
 
     /// Serialize the intake — bound, stats and inbox — deterministically,
-    /// with a trailing FNV-1a-64 checksum so storage damage (bit flips,
-    /// truncation, extension) is detected before the codec runs.
+    /// sealed under [`TRANSPORT_MAGIC`] so storage damage (bit flips,
+    /// truncation, extension) is detected before the field codec runs.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, TRANSPORT_STATE_VERSION);
@@ -229,36 +230,21 @@ impl TransportIntake {
             put_u64(&mut out, *peer);
             put_bytes(&mut out, packet);
         }
-        // The seal is outside the field codec (restore strips it before
-        // the cursor runs), so it is appended raw, not as a field write.
-        let sum = fnv64(&out);
-        out.extend_from_slice(&sum.to_be_bytes());
-        out
+        codec::seal(TRANSPORT_MAGIC, TRANSPORT_STATE_VERSION, &out)
     }
 
     /// Rebuild an intake from [`save_state`](Self::save_state) bytes.
-    /// The blob is wire-grade input: the trailing checksum must match,
-    /// every read is bounds-checked, and the restored accounting must
-    /// balance, or the restore fails.
-    pub fn restore_from(data: &[u8]) -> Result<TransportIntake, StateError> {
-        if data.len() < 8 {
-            return Err(StateError::Truncated);
-        }
-        let (payload, trailer) = data.split_at(data.len() - 8);
-        let stored = match *trailer {
-            [a, b, c, d, e, f, g, h] => u64::from_be_bytes([a, b, c, d, e, f, g, h]),
-            _ => return Err(StateError::Truncated),
-        };
-        if fnv64(payload) != stored {
-            return Err(StateError::Invalid("state checksum mismatch"));
-        }
-        let mut cur = Cur::new(payload);
+    /// The blob is wire-grade input: the frame must open, every read is
+    /// bounds-checked, and the restored accounting must balance, or the
+    /// restore fails.
+    pub fn restore_from(data: &[u8]) -> Result<TransportIntake, CodecError> {
+        let mut cur = Cur::new(codec::open(TRANSPORT_MAGIC, TRANSPORT_STATE_VERSION, data)?);
         let version = cur.u32()?;
         if version != TRANSPORT_STATE_VERSION {
-            return Err(StateError::BadVersion(version));
+            return Err(CodecError::BadVersion(version));
         }
         let inbox_capacity = usize::try_from(cur.u64()?)
-            .map_err(|_| StateError::Invalid("bound overflows usize"))?;
+            .map_err(|_| CodecError::Invalid("bound overflows usize"))?;
         let stats = TransportStats {
             offered: cur.u64()?,
             received: cur.u64()?,
@@ -284,7 +270,7 @@ impl TransportIntake {
             journal: Journal::disabled(),
         };
         if !intake.fully_accounted() {
-            return Err(StateError::Invalid("restored accounting does not balance"));
+            return Err(CodecError::Invalid("restored accounting does not balance"));
         }
         Ok(intake)
     }
@@ -383,26 +369,22 @@ mod tests {
                 "cut {cut} restored"
             );
         }
-        // Re-seal after tampering so the typed checks behind the
-        // checksum are exercised, not just the checksum itself.
-        let reseal = |mut bytes: Vec<u8>| {
-            bytes.truncate(bytes.len() - 8);
-            let sum = fnv64(&bytes);
-            put_u64(&mut bytes, sum);
-            bytes
-        };
-        let mut wrong = blob.clone();
-        wrong[3] = 99; // version
-        assert!(matches!(
-            TransportIntake::restore_from(&reseal(wrong)),
-            Err(StateError::BadVersion(_))
-        ));
+        // Tamper with the payload and re-seal it, so the typed checks
+        // behind the frame are exercised, not just the checksum itself.
+        let payload = codec::open(TRANSPORT_MAGIC, TRANSPORT_STATE_VERSION, &blob).unwrap();
+        let reseal = |bytes: Vec<u8>| codec::seal(TRANSPORT_MAGIC, TRANSPORT_STATE_VERSION, &bytes);
+        let mut wrong = payload.to_vec();
+        wrong[3] = 99; // the payload's own version word
+        assert_eq!(
+            TransportIntake::restore_from(&reseal(wrong)).err(),
+            Some(CodecError::BadVersion(99))
+        );
         // Tamper with a stats field: the balance check must catch it.
-        let mut unbalanced = blob.clone();
+        let mut unbalanced = payload.to_vec();
         let offered_at = 4 + 8 + 7; // version + bound, low byte of `offered`
         unbalanced[offered_at] = unbalanced[offered_at].wrapping_add(1);
         assert!(TransportIntake::restore_from(&reseal(unbalanced)).is_err());
-        // Without a reseal, EVERY single-bit flip is caught by the seal.
+        // Without a reseal, EVERY single-bit flip is caught by the frame.
         for i in 0..blob.len() {
             for bit in 0..8 {
                 let mut bad = blob.clone();
@@ -413,6 +395,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn previous_format_fails_closed_on_its_magic() {
+        // Version 2 wrote the payload bare, version word first, and
+        // appended an 8-byte FNV-1a-64 trailer; it carried no magic.
+        let mut t = intake();
+        t.offer(1, SFLOW);
+        t.offer(2, SFLOW);
+        t.drain(1);
+        let blob = t.save_state();
+        let mut old = codec::open(TRANSPORT_MAGIC, TRANSPORT_STATE_VERSION, &blob)
+            .unwrap()
+            .to_vec();
+        old[..4].copy_from_slice(&2u32.to_be_bytes());
+        let sum = codec::fnv64(&old);
+        put_u64(&mut old, sum);
+        assert_eq!(TransportIntake::restore_from(&old).err(), Some(CodecError::BadMagic));
     }
 
     #[test]

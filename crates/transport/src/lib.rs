@@ -13,8 +13,8 @@
 //! * **conservation accounting** — every offered packet lands in exactly
 //!   one bucket, extending the pipeline invariant to the wire, and the
 //!   buckets are exported as `transport_*` metrics ([`metrics`]);
-//! * **checkpointable** — intake state serializes via the same
-//!   versioned, sealed, fail-closed codec style as the collector, so a
+//! * **checkpointable** — intake state serializes through the shared
+//!   `ixp_obs::codec`, sealed under its own magic and fail-closed, so a
 //!   supervisor kill-and-resume loses nothing;
 //! * **deterministic replay** — [`link::MemLink`] carries packets
 //!   reproducibly, so CI gates never depend on socket permissions

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use ixp_sflow::checkpoint::StateError;
+use ixp_obs::CodecError;
 use ixp_transport::{TransportConfig, TransportIntake};
 
 /// A packet that is either sFlow-tagged (leading 16 bits zero) or
@@ -69,8 +69,9 @@ proptest! {
         prop_assert_eq!(restored.inbox_len(), intake.inbox_len());
     }
 
-    /// Every single-bit flip and every truncation of the state is
-    /// rejected with a typed error.
+    /// Every truncation of the state is rejected as truncated, and every
+    /// single-bit flip is rejected by the sealed frame before the field
+    /// codec runs.
     #[test]
     fn damaged_state_is_rejected_with_a_typed_error(
         packets in proptest::collection::vec(arb_packet(), 0..8),
@@ -80,7 +81,7 @@ proptest! {
         for cut in 0..blob.len() {
             let err = TransportIntake::restore_from(&blob[..cut]).err();
             prop_assert!(
-                matches!(err, Some(StateError::Truncated | StateError::Invalid(_))),
+                err == Some(CodecError::Truncated),
                 "cut {cut}: {err:?}"
             );
         }
@@ -90,7 +91,15 @@ proptest! {
                 bad[i] ^= 1 << bit;
                 let err = TransportIntake::restore_from(&bad).err();
                 prop_assert!(
-                    matches!(err, Some(StateError::Invalid(_))),
+                    matches!(
+                        err,
+                        Some(
+                            CodecError::BadMagic
+                                | CodecError::BadVersion(_)
+                                | CodecError::Truncated
+                                | CodecError::ChecksumMismatch
+                        )
+                    ),
                     "flip at byte {i} bit {bit}: {err:?}"
                 );
             }

@@ -162,7 +162,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set version and IHL (header length in bytes; must be a multiple of 4).
     pub fn set_version_and_header_len(&mut self, header_len: u8) {
-        debug_assert!(header_len % 4 == 0 && header_len >= 20);
+        debug_assert!(header_len.is_multiple_of(4) && header_len >= 20);
         self.buffer.as_mut()[0] = 0x40 | (header_len / 4);
     }
 
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn snippet_parse_reports_claimed_payload_len() {
         let repr = Repr { payload_len: 1400, ..sample_repr() };
-        let mut buf = vec![0u8; 128];
+        let mut buf = [0u8; 128];
         let mut packet = Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut packet).unwrap();
         // Full-packet validation must reject the truncation...

@@ -198,7 +198,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
 
     /// Set the data offset (header length in bytes).
     pub fn set_header_len(&mut self, len: u8) {
-        debug_assert!(len % 4 == 0 && len >= 20);
+        debug_assert!(len.is_multiple_of(4) && len >= 20);
         self.buffer.as_mut()[12] = (len / 4) << 4;
     }
 
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn checksum_detects_payload_corruption() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; HEADER_LEN + 16];
+        let mut buf = [0u8; HEADER_LEN + 16];
         repr.emit(&mut Packet::new_unchecked(&mut buf[..]), SRC, DST).unwrap();
         buf[HEADER_LEN + 3] ^= 0xff;
         assert!(!Packet::new_checked(&buf[..]).unwrap().verify_checksum(SRC, DST));

@@ -3,10 +3,9 @@
 #   build, test, and the ixp-lint invariant pass (no-panic decoder
 #   contract and friends; see crates/lint and DESIGN.md).
 #
-# Clippy runs last, whenever its driver is installed (it is, offline
-# too). It currently fails on pre-existing findings in ixp-wire,
-# ixp-netmodel, ixp-lint and ixp-faults, so a failure is reported loudly
-# but does not gate yet (ROADMAP item 4). IXP_CI_OFFLINE=1 skips it.
+# Clippy runs last and gates (`-D warnings`) whenever its driver is
+# installed, offline too. It is skipped only when `cargo clippy
+# --version` fails or IXP_CI_OFFLINE=1 is set.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -210,6 +209,39 @@ if [ -z "$mem_t1" ] || [ "$mem_t1" != "$none_t1" ]; then
     exit 1
 fi
 
+echo "==> sealed side files and full markdown (same-seed byte identity)"
+# The whole report, not just its metrics, is a pure function of the seed.
+# A transport run killed mid-week writes its transport state and flight
+# record as sealed side files beside the checkpoint; two same-seed kills
+# must write them byte-identically, and resuming from one must end with
+# the transport ledger balanced.
+cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+    --markdown target/repro-a.md >/dev/null 2>&1
+cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+    --markdown target/repro-b.md >/dev/null 2>&1
+cmp target/repro-a.md target/repro-b.md || {
+    echo "ci: repro markdown differs between same-seed runs" >&2
+    exit 1
+}
+for run in a b; do
+    cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+        --transport memory --checkpoint "target/tkill-$run.bin" --kill-at 400 \
+        >/dev/null 2>&1
+done
+for side in transport flight; do
+    cmp "target/tkill-a.bin.$side" "target/tkill-b.bin.$side" || {
+        echo "ci: .$side side files differ between same-seed killed runs" >&2
+        exit 1
+    }
+done
+cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+    --transport memory --resume target/tkill-a.bin \
+    > target/transport-resumed.log 2>&1
+grep -q "transport accounting invariant.*: holds" target/transport-resumed.log || {
+    echo "ci: resumed transport run does not balance (see target/transport-resumed.log)" >&2
+    exit 1
+}
+
 echo "==> repro --transport udp loopback smoke (UDP when permitted)"
 # The same week through an in-process loopback UDP socket pair. Exit 42
 # means the environment denied the bind: the in-memory smoke above
@@ -319,7 +351,8 @@ elif ! cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy --workspace --all-targets"
     cargo clippy --workspace --all-targets -- -D warnings || {
-        echo "ci: clippy FAILED (not yet gating; ROADMAP item 4)" >&2
+        echo "ci: clippy FAILED" >&2
+        exit 1
     }
 fi
 

@@ -215,10 +215,7 @@ fn same_seed_runs_are_byte_identical() {
 fn overload_sheds_visibly_never_silently() {
     // A deliberately tiny inbox with a lazy drain cadence: the front
     // door must shed, and every shed packet must be counted.
-    let mut intake = TransportIntake::new(TransportConfig {
-        inbox_capacity: 16,
-        ..TransportConfig::default()
-    });
+    let mut intake = TransportIntake::new(TransportConfig { inbox_capacity: 16 });
     for (i, packet) in workload().iter().enumerate() {
         intake.offer(SFLOW_PEER, packet);
         if i % 8 == 7 {
@@ -281,9 +278,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
 
     let mut flipped = bytes.clone();
     faults::chaos::flip_bit(&mut flipped, SEED);
-    let err = journal::parse_flight(&flipped)
-        .err()
-        .expect("bit-flipped flight dump must be rejected");
+    let err = journal::parse_flight(&flipped).expect_err("bit-flipped flight dump must be rejected");
     assert!(!err.to_string().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
